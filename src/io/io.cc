@@ -5,10 +5,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "common/util.h"
+#include "io/atomic_file.h"
 
 namespace sysds {
 namespace io {
@@ -43,14 +45,6 @@ Status Writer::WriteFrame(const FrameBlock& f, const std::string& path,
 
 namespace {
 
-StatusOr<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return IoError("cannot open '" + path + "' for reading");
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  return content;
-}
-
 // Splits [0, size) into chunks aligned to line boundaries; shared by the
 // matrix and frame text readers so both parallelize identically.
 std::vector<std::pair<size_t, size_t>> LineAlignedChunks(
@@ -83,7 +77,7 @@ inline double ParseDoubleToken(const char* s, size_t len) {
 
 StatusOr<MatrixBlock> ReadMatrixCsvImpl(const std::string& path,
                                         const FormatDescriptor& desc) {
-  SYSDS_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
+  SYSDS_ASSIGN_OR_RETURN(std::string data, ReadFile(path));
   int threads =
       desc.num_threads > 0 ? desc.num_threads : DefaultParallelism();
 
@@ -213,7 +207,7 @@ inline bool ParseStrictNumeric(const std::string& cell, double* out) {
 StatusOr<FrameBlock> ReadFrameCsvImpl(const std::string& path,
                                       const FormatDescriptor& desc,
                                       const std::vector<ValueType>& schema) {
-  SYSDS_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
+  SYSDS_ASSIGN_OR_RETURN(std::string data, ReadFile(path));
   int threads =
       desc.num_threads > 0 ? desc.num_threads : DefaultParallelism();
 
@@ -596,6 +590,57 @@ StatusOr<MatrixBlock> ReadMatrixBinaryStream(std::istream& in) {
   }
   if (!in) return IoError("truncated binary matrix");
   m.SetNonZeros(nnz);
+  return m;
+}
+
+StatusOr<MatrixBlock> ReadMatrixBinaryVerified(const std::string& path) {
+  VerifiedReader reader;
+  SYSDS_RETURN_IF_ERROR(reader.Open(path));
+  constexpr int64_t kHeaderBytes = 8 + 8 + 8 + 8 + 1;
+  if (reader.PayloadSize() < kHeaderBytes) {
+    return CorruptError("'" + path + "': too short for a binary matrix");
+  }
+  char header[kHeaderBytes];
+  SYSDS_RETURN_IF_ERROR(reader.Read(header, kHeaderBytes));
+  uint64_t magic = 0;
+  int64_t rows = 0, cols = 0, nnz = 0;
+  std::memcpy(&magic, header, 8);
+  std::memcpy(&rows, header + 8, 8);
+  std::memcpy(&cols, header + 16, 8);
+  std::memcpy(&nnz, header + 24, 8);
+  const bool dense = header[32] == 0;
+  if (magic == kBinaryMagic && dense) {
+    // The dims fix the payload size, so a header that disagrees with the
+    // footer is rejected before its claimed size is allocated; the cells
+    // then land straight in the block, checksummed chunk by chunk.
+    int64_t cells = 0, bytes = 0;
+    if (rows < 0 || cols < 0 || __builtin_mul_overflow(rows, cols, &cells) ||
+        __builtin_mul_overflow(cells, int64_t{8}, &bytes) ||
+        bytes != reader.Remaining()) {
+      return CorruptError("'" + path + "': dense header " +
+                          std::to_string(rows) + "x" + std::to_string(cols) +
+                          " disagrees with the payload size " +
+                          std::to_string(reader.PayloadSize()));
+    }
+    MatrixBlock m(rows, cols, /*sparse=*/false);
+    SYSDS_RETURN_IF_ERROR(reader.Read(m.DenseData(), bytes));
+    SYSDS_RETURN_IF_ERROR(reader.Verify());
+    m.SetNonZeros(nnz);
+    return m;
+  }
+  // Sparse rows have no fixed size: verify the whole payload, then parse it
+  // from memory (the istringstream takes the buffer over without a copy).
+  std::string payload(static_cast<size_t>(reader.PayloadSize()), '\0');
+  std::memcpy(payload.data(), header, kHeaderBytes);
+  SYSDS_RETURN_IF_ERROR(
+      reader.Read(payload.data() + kHeaderBytes, reader.Remaining()));
+  SYSDS_RETURN_IF_ERROR(reader.Verify());
+  std::istringstream in(std::move(payload));
+  auto m = ReadMatrixBinaryStream(in);
+  if (!m.ok()) {
+    return Status(m.status().code(),
+                  m.status().message() + " ('" + path + "')");
+  }
   return m;
 }
 

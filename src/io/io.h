@@ -101,6 +101,14 @@ Status WriteMatrixBinaryStream(const MatrixBlock& m, std::ostream& out);
 /// on a bad magic and kIoError on truncation.
 StatusOr<MatrixBlock> ReadMatrixBinaryStream(std::istream& in);
 
+/// Reads a matrix that WriteMatrixBinaryStream wrote through WriteAtomic
+/// (a buffer-pool spill file). A dense payload is read straight into the
+/// new block's array in chunks, each folded into the CRC while in cache,
+/// after the header's dims were checked against the footer's payload size;
+/// a sparse one is verified whole, then parsed. No byte reaches the caller
+/// unverified: every mismatch is kCorrupt.
+StatusOr<MatrixBlock> ReadMatrixBinaryVerified(const std::string& path);
+
 /// Writes `f` (schema, column names, cells) in a binary frame layout.
 Status WriteFrameBinaryStream(const FrameBlock& f, std::ostream& out);
 

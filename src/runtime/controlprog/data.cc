@@ -68,6 +68,15 @@ obs::Histogram* RestoreNs() {
   return h;
 }
 
+// In-memory bytes of the blocks restores brought back (demand and
+// prefetch), sized like bufferpool.spilled_bytes; with
+// bufferpool.restore_ns it gives the restore bandwidth.
+obs::Counter* RestoreBytes() {
+  static obs::Counter* c =
+      obs::MetricsRegistry::Get().GetCounter("bufferpool.restore_bytes");
+  return c;
+}
+
 int64_t NowNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -436,14 +445,15 @@ Status MatrixObject::EnsureRestoredLocked(std::unique_lock<std::mutex>& lock) {
     // Checksum verification first (crash-safe spill files): a torn or
     // bit-flipped spill surfaces as kCorrupt — retryable, and the spill
     // file is kept so a later acquire can retry — never as garbage
-    // deserialized into a block.
-    auto payload = io::ReadVerified(path);
-    if (!payload.ok()) {
-      last = payload.status();
-      continue;
-    }
-    std::istringstream in(std::move(payload).value());
+    // deserialized into a block. A dense spill is read straight into the
+    // new block, which comes back only once its CRC matched.
     if (compressed_format) {
+      auto payload = io::ReadVerified(path);
+      if (!payload.ok()) {
+        last = payload.status();
+        continue;
+      }
+      std::istringstream in(std::move(payload).value());
       auto restored = ReadCompressedStream(in);
       if (!restored.ok()) {
         last = restored.status();
@@ -452,7 +462,7 @@ Status MatrixObject::EnsureRestoredLocked(std::unique_lock<std::mutex>& lock) {
       new_compressed = std::make_shared<const CompressedMatrixBlock>(
           std::move(restored).value());
     } else {
-      auto restored = io::ReadMatrixBinaryStream(in);
+      auto restored = io::ReadMatrixBinaryVerified(path);
       if (!restored.ok()) {
         last = restored.status();
         continue;
@@ -480,6 +490,7 @@ Status MatrixObject::EnsureRestoredLocked(std::unique_lock<std::mutex>& lock) {
     block_ = std::move(new_block);
   }
   clean_spill_ = true;
+  RestoreBytes()->Add(EstimateSizeLocked());
   return Status::Ok();
 }
 

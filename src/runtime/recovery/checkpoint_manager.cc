@@ -388,7 +388,7 @@ StatusOr<int64_t> CheckpointManager::TryResume(int loop_id,
   for (const ManifestVar& v : m.vars) {
     SYSDS_ASSIGN_OR_RETURN(std::string payload,
                            io::ReadVerified(options_.dir + "/" + v.file));
-    std::istringstream in(payload, std::ios::binary);
+    std::istringstream in(std::move(payload), std::ios::binary);
     auto restored = ReadVarPayload(in);
     if (!restored.ok()) {
       return Status(restored.status().code(),

@@ -6,13 +6,16 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "api/systemds_context.h"
 #include "common/faults.h"
+#include "io/atomic_file.h"
 #include "obs/metrics.h"
 #include "runtime/bufferpool/buffer_pool.h"
 #include "runtime/controlprog/data.h"
@@ -302,14 +305,15 @@ TEST_F(BufferPoolAsyncTest, CorruptWritebackSurfacesAsCorruptAndRetryable) {
   opt.limit_bytes = 1 << 30;
   BufferPool pool(opt);
   MatrixObject::SetBufferPool(&pool);
-  auto obj = std::make_shared<MatrixObject>(MatrixBlock::Dense(64, 64, 4.0));
+  // A dense block spanning many read chunks of the verified restore, so
+  // corruption lands in its first, a middle and its last chunk.
+  constexpr int64_t kRows = 512, kCols = 1024;
+  auto obj =
+      std::make_shared<MatrixObject>(MatrixBlock::Dense(kRows, kCols, 4.0));
   pool.SetLimit(64);  // spill + drop
   ASSERT_FALSE(obj->HasPayload());
   pool.SetLimit(1 << 30);
 
-  // Corrupt the spill file the way a crash mid-writeback would: flip a
-  // payload byte. The CRC footer must catch it as kCorrupt (retryable),
-  // never deserialize garbage.
   std::string path = pool.SpillPathFor(obj.get());
   ASSERT_TRUE(fs::exists(path));
   std::string original;
@@ -319,16 +323,60 @@ TEST_F(BufferPoolAsyncTest, CorruptWritebackSurfacesAsCorruptAndRetryable) {
     buf << in.rdbuf();
     original = buf.str();
   }
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(32);
-    f.put('\x5a');
+  // Spill file: 33-byte matrix header (magic, rows, cols, nnz, sparse
+  // flag), the cells, then the 24-byte footer (magic, payload size, CRC).
+  constexpr size_t kHeader = 33, kFooter = 24;
+  ASSERT_EQ(original.size(), kHeader + kRows * kCols * 8 + kFooter);
+  ASSERT_GT(original.size(), 4 * static_cast<size_t>(
+                                     io::VerifiedReader::kChunkBytes));
+  const size_t payload_end = original.size() - kFooter;
+  auto flip = [&original](size_t pos) {
+    std::string bytes = original;
+    bytes[pos] = static_cast<char>(bytes[pos] ^ 0x10);
+    return bytes;
+  };
+  auto with_int64 = [](std::string bytes, size_t pos, int64_t v) {
+    std::memcpy(&bytes[pos], &v, 8);
+    return bytes;
+  };
+  // Header dims far beyond the file (8 PiB of cells): rejected against
+  // the footer's payload size before anything of that size is allocated,
+  // whether the footer agrees with the file or with the header.
+  const int64_t kHugeRows = int64_t{1} << 40;
+  const std::string huge_dims = with_int64(original, 8, kHugeRows);
+  const std::vector<std::pair<std::string, std::string>> corruptions = {
+      {"first payload byte", flip(kHeader)},
+      {"middle payload byte", flip(kHeader + (payload_end - kHeader) / 2)},
+      {"last payload byte", flip(payload_end - 1)},
+      {"header dims bit", flip(16)},
+      {"header nnz bit", flip(24)},
+      {"header sparse flag", flip(32)},
+      {"truncated payload, footer kept",
+       original.substr(0, payload_end / 2) + original.substr(payload_end)},
+      {"truncated file", original.substr(0, payload_end / 2)},
+      {"header dims disagree with footer size", huge_dims},
+      {"footer size follows huge header dims",
+       with_int64(huge_dims, payload_end + 8,
+                  static_cast<int64_t>(kHeader) + kHugeRows * kCols * 8)},
+  };
+  const int64_t restored_bytes = CounterValue("bufferpool.restore_bytes");
+  for (const auto& [name, bytes] : corruptions) {
+    SCOPED_TRACE(name);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    // The CRC footer and the dims check catch every case as kCorrupt
+    // (retryable); no unverified block is installed and the spill file is
+    // kept for a retry.
+    auto read = obj->AcquireRead();
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), StatusCode::kCorrupt) << read.status();
+    EXPECT_TRUE(IsRetryable(read.status()));
+    EXPECT_FALSE(obj->HasPayload());
+    EXPECT_TRUE(fs::exists(path)) << "spill file kept for retry";
   }
-  auto read = obj->AcquireRead();
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kCorrupt) << read.status();
-  EXPECT_TRUE(IsRetryable(read.status()));
-  EXPECT_TRUE(fs::exists(path)) << "spill file kept for retry";
+  EXPECT_EQ(CounterValue("bufferpool.restore_bytes"), restored_bytes);
 
   // Repair (e.g. the storage layer heals) and the same acquire succeeds.
   {
@@ -338,7 +386,11 @@ TEST_F(BufferPoolAsyncTest, CorruptWritebackSurfacesAsCorruptAndRetryable) {
   auto recovered = obj->AcquireRead();
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_DOUBLE_EQ((*recovered)->Get(5, 5), 4.0);
+  EXPECT_DOUBLE_EQ((*recovered)->Get(kRows - 1, kCols - 1), 4.0);
+  EXPECT_EQ((*recovered)->NonZeros(), kRows * kCols);
   obj->Release();
+  EXPECT_EQ(CounterValue("bufferpool.restore_bytes") - restored_bytes,
+            obj->EstimateSizeInBytes());
 }
 
 TEST_F(BufferPoolAsyncTest, RegisterUnregisterRaceWithInflightWriteback) {

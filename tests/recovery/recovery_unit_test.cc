@@ -57,6 +57,63 @@ TEST(Crc32Test, KnownAnswer) {
   EXPECT_EQ(Crc32::Of("", 0), 0x00000000u);
 }
 
+// The byte-at-a-time table loop Crc32::Update used before slicing-by-8,
+// kept as the differential oracle.
+uint32_t ByteAtATimeCrc32(const unsigned char* p, size_t len) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> PseudoRandomBytes(size_t n) {
+  std::vector<unsigned char> bytes(n);
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (unsigned char& b : bytes) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<unsigned char>(x >> 56);
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesByteAtATimeOracleAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> bytes = PseudoRandomBytes(4096 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const unsigned char* p = bytes.data() + offset;
+      const uint32_t want = ByteAtATimeCrc32(p, len);
+      const uint32_t got = Crc32::Of(p, len);
+      if (got != want) {
+        FAIL() << "offset " << offset << " length " << len << ": got "
+               << got << ", oracle " << want;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, IncrementalSplitAtEveryOffsetMatchesOracle) {
+  const std::vector<unsigned char> bytes = PseudoRandomBytes(64);
+  const uint32_t want = ByteAtATimeCrc32(bytes.data(), bytes.size());
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    Crc32 inc;
+    inc.Update(bytes.data(), split);
+    inc.Update(bytes.data() + split, bytes.size() - split);
+    EXPECT_EQ(inc.Value(), want) << "split at " << split;
+  }
+}
+
 TEST(Crc32Test, IncrementalMatchesOneShot) {
   const std::string data = "the quick brown fox jumps over the lazy dog";
   Crc32 inc;
@@ -68,19 +125,24 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
 TEST(AtomicFileTest, RoundTripAndNoTempLeft) {
   TempDir dir("atomic");
   std::string path = dir.File("payload.bin");
-  std::string payload(4096, '\0');
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<char>(i * 31);
+  // Empty, one partial read chunk, and several chunks plus a remainder.
+  const size_t chunk = static_cast<size_t>(io::VerifiedReader::kChunkBytes);
+  for (size_t size : {size_t{0}, size_t{4096}, 3 * chunk + 5}) {
+    SCOPED_TRACE("payload bytes " + std::to_string(size));
+    std::string payload(size, '\0');
+    for (size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<char>(i * 31);
+    }
+    Status w = io::WriteAtomic(path, [&](std::ostream& out) {
+      out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+      return Status::Ok();
+    });
+    ASSERT_TRUE(w.ok()) << w;
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+    auto r = io::ReadVerified(path);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(*r, payload);
   }
-  Status w = io::WriteAtomic(path, [&](std::ostream& out) {
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    return Status::Ok();
-  });
-  ASSERT_TRUE(w.ok()) << w;
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  auto r = io::ReadVerified(path);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(*r, payload);
 }
 
 TEST(AtomicFileTest, BitFlipDetectedAsCorrupt) {
