@@ -81,6 +81,14 @@ void GemmDenseTiled(const double* a, const double* b, double* c, int64_t m,
   }
 }
 
+struct TileBlock {
+  const double* a;  // first shared row of A; row stride n
+  const double* b;  // first shared row of B; row stride l
+  int64_t rows, n, l;
+  double* c;   // n x l accumulator, row-major
+  bool upper;  // symmetric result: only tiles reaching the upper triangle
+};
+
 }  // namespace internal
 
 namespace {
@@ -192,7 +200,216 @@ void TreeReducePartials(std::vector<std::vector<double>>* partials,
   }
 }
 
+// Tree-reduces per-chunk n x l partials into the n x l result, mirroring
+// the upper triangle of a symmetric (n == l) result into the lower one.
+MatrixBlock ReducedResult(std::vector<std::vector<double>>* partials,
+                          int64_t n, int64_t l, bool mirror, int num_threads) {
+  TreeReducePartials(partials, n * l);
+  MatrixBlock c = MatrixBlock::Dense(n, l);
+  double* pc = c.DenseData();
+  if (!partials->empty() && !(*partials)[0].empty()) {
+    std::memcpy(pc, (*partials)[0].data(),
+                static_cast<size_t>(n * l) * sizeof(double));
+  }
+  if (mirror) MirrorLowerTriangle(pc, n, num_threads);
+  c.MarkNnzDirty();
+  c.ExamSparsity();
+  return c;
+}
+
+// ---------------------------------------------------------------------------
+// Dense t(A) %*% B tile kernel.
+//
+// One register-blocked kernel computes an MR x (NV*VL) tile of t(A) %*% B
+// over a block of shared rows: per row it loads NV vectors of B's row,
+// broadcasts MR elements of A's row and issues MR*NV multiply-adds into
+// accumulators that stay in registers for the whole row block; the tile is
+// added into C once at the end. Every element is multiplied, so 0 * Inf
+// gives NaN exactly as in the portable kernel.
+//
+// One template source, compiled per ISA: the wrappers below instantiate it
+// under __attribute__((target(...))), where GCC's vector extensions lower
+// to zmm, ymm or xmm code and the multiply-add contracts to an FMA if the
+// target has one. The variant is picked once, on first use.
+//
+// B's last vector may read up to VL-1 doubles past column l. Inside the
+// matrix those are the next row's first values and only feed lanes that are
+// never stored; the last rows, whose reads would run off the end of B's
+// storage, run on a zero-padded copy instead.
+
+using internal::TileBlock;
+
+// A struct member, not an alias template: GCC drops vector_size from a
+// dependent alias.
+template <int VL>
+struct TileVec {
+  typedef double type __attribute__((vector_size(VL * sizeof(double))));
+};
+
+template <int VL, int MR, int NV>
+[[gnu::always_inline]] inline void TileKernel(const TileBlock& t, int64_t p0,
+                                              int64_t q0) {
+  using V = typename TileVec<VL>::type;
+  V acc[MR][NV] = {};
+  const double* pa = t.a + p0;
+  const double* pb = t.b + q0;
+  for (int64_t i = 0; i < t.rows; ++i, pa += t.n, pb += t.l) {
+    V bv[NV];
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) std::memcpy(&bv[v], pb + v * VL, sizeof(V));
+#pragma GCC unroll 16
+    for (int r = 0; r < MR; ++r) {
+      const double ar = pa[r];
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) acc[r][v] += ar * bv[v];
+    }
+  }
+  const int64_t cols = std::min<int64_t>(NV * VL, t.l - q0);
+  for (int r = 0; r < MR; ++r) {
+    double* crow = t.c + (p0 + r) * t.l + q0;
+    if (cols == NV * VL) {
+      for (int v = 0; v < NV; ++v) {
+        V cv;
+        std::memcpy(&cv, crow + v * VL, sizeof(V));
+        cv += acc[r][v];
+        std::memcpy(crow + v * VL, &cv, sizeof(V));
+      }
+    } else {
+      for (int64_t j = 0; j < cols; ++j) crow[j] += acc[r][j / VL][j % VL];
+    }
+  }
+}
+
+// Edge tiles: the kernel instantiated for exactly `mr` rows and `nv` vectors,
+// each instantiation reached by one path.
+template <int VL, int MR, int NV>
+[[gnu::always_inline]] inline void TileRows(const TileBlock& t, int64_t p0,
+                                            int64_t q0, int mr) {
+  if constexpr (MR > 1) {
+    if (mr < MR) return TileRows<VL, MR - 1, NV>(t, p0, q0, mr);
+  }
+  TileKernel<VL, MR, NV>(t, p0, q0);
+}
+
+template <int VL, int MR, int NV>
+[[gnu::always_inline]] inline void Tile(const TileBlock& t, int64_t p0,
+                                        int64_t q0, int mr, int nv) {
+  if constexpr (NV > 1) {
+    if (nv < NV) return Tile<VL, MR, NV - 1>(t, p0, q0, mr, nv);
+  }
+  TileRows<VL, MR, NV>(t, p0, q0, mr);
+}
+
+// All tiles of one row block, C += t(A[rows]) %*% B[rows].
+template <int VL, int MR, int NV>
+[[gnu::always_inline]] inline void TilePanel(const TileBlock& t) {
+  constexpr int64_t kNR = VL * NV;
+  for (int64_t p0 = 0; p0 < t.n; p0 += MR) {
+    const int mr = static_cast<int>(std::min<int64_t>(MR, t.n - p0));
+    // First tile holding a column >= p0 (a symmetric result needs no more).
+    const int64_t q_first = t.upper ? p0 / kNR * kNR : 0;
+    for (int64_t q0 = q_first; q0 < t.l; q0 += kNR) {
+      const int64_t cols = std::min<int64_t>(kNR, t.l - q0);
+      Tile<VL, MR, NV>(t, p0, q0, mr, static_cast<int>((cols + VL - 1) / VL));
+    }
+  }
+}
+
+#if defined(__x86_64__)
+// 16 zmm accumulators of 32 registers.
+__attribute__((target("avx512f"))) void TilePanelAvx512(const TileBlock& t) {
+  TilePanel<8, 8, 2>(t);
+}
+
+// 12 ymm accumulators of 16 registers.
+__attribute__((target("avx2,fma"))) void TilePanelAvx2(const TileBlock& t) {
+  TilePanel<4, 6, 2>(t);
+}
+#endif
+
+// 8 xmm accumulators of 16 registers; SSE2 has no FMA.
+void TilePanelBaseline(const TileBlock& t) { TilePanel<2, 4, 2>(t); }
+
+// Rows per kernel call: a row block of A and B stays cache-resident while
+// every tile sweeps it.
+constexpr int64_t kTileBlockBytes = int64_t{256} << 10;
+
 }  // namespace
+
+namespace internal {
+
+const std::vector<TileKernelVariant>& TileKernelVariants() {
+  static const std::vector<TileKernelVariant> variants = {
+#if defined(__x86_64__)
+      {"avx512", 8, [] { return __builtin_cpu_supports("avx512f") != 0; },
+       TilePanelAvx512},
+      {"avx2", 4,
+       [] {
+         return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+       },
+       TilePanelAvx2},
+#endif
+      {"baseline", 2, [] { return true; }, TilePanelBaseline},
+  };
+  return variants;
+}
+
+const TileKernelVariant& ActiveTileKernel() {
+  static const TileKernelVariant* const active = [] {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+#endif
+    for (const TileKernelVariant& v : TileKernelVariants()) {
+      if (v.supported()) return &v;
+    }
+    return &TileKernelVariants().back();
+  }();
+  return *active;
+}
+
+MatrixBlock DenseTransposeLeft(const MatrixBlock& a, const MatrixBlock& b,
+                               bool symmetric, const TileKernelVariant& kernel,
+                               int num_threads) {
+  const int64_t m = a.Rows(), n = a.Cols(), l = b.Cols();
+  if (n == 0 || l == 0) return MatrixBlock::Dense(n, l);
+  const int64_t chunks = PickChunksBounded(m, n * l * 8);
+  const int64_t chunk_rows = (m + chunks - 1) / chunks;
+  const int64_t block_rows =
+      std::max<int64_t>(1, kTileBlockBytes / ((n + l) * 8));
+  // Rows from `padded_from` on would read past the end of B's storage.
+  const int64_t read_len = (l + kernel.lanes - 1) / kernel.lanes * kernel.lanes;
+  const int64_t padded_from =
+      m * l >= read_len ? (m * l - read_len) / l + 1 : 0;
+  std::vector<std::vector<double>> partials(static_cast<size_t>(chunks));
+  ThreadPool::Global().ParallelFor(
+      0, m, chunks,
+      [&](int64_t rb, int64_t re) {
+        std::vector<double>& acc =
+            partials[static_cast<size_t>(rb / chunk_rows)];
+        acc.assign(static_cast<size_t>(n * l), 0.0);
+        auto run = [&](int64_t r0, int64_t r1, const double* pb) {
+          for (int64_t i = r0; i < r1; i += block_rows) {
+            const int64_t rows = std::min(block_rows, r1 - i);
+            kernel.panel({a.DenseRow(i), pb + (i - r0) * l, rows, n, l,
+                          acc.data(), symmetric});
+          }
+        };
+        const int64_t direct_end = std::max(rb, std::min(re, padded_from));
+        run(rb, direct_end, b.DenseData() + rb * l);
+        if (direct_end < re) {
+          std::vector<double> tail(
+              static_cast<size_t>((re - direct_end) * l + kernel.lanes), 0.0);
+          std::memcpy(tail.data(), b.DenseRow(direct_end),
+                      static_cast<size_t>((re - direct_end) * l) *
+                          sizeof(double));
+          run(direct_end, re, tail.data());
+        }
+      },
+      symmetric ? "tsmm" : "tlmm");
+  return ReducedResult(&partials, n, l, /*mirror=*/symmetric, num_threads);
+}
+
+}  // namespace internal
 
 StatusOr<MatrixBlock> MatMult(const MatrixBlock& a, const MatrixBlock& b,
                               int num_threads) {
@@ -307,70 +524,36 @@ StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
     return c;
   }
 
-  // Native kernel: accumulated over rows with per-chunk partial results
-  // reduced deterministically by chunk id (vectorizable inner axpy). The
-  // chunk count is bounded by the n*n scratch each chunk holds.
+  if (!x.IsSparse()) {
+    return internal::DenseTransposeLeft(x, x, /*symmetric=*/true,
+                                        internal::ActiveTileKernel(),
+                                        num_threads);
+  }
+
+  // Sparse kernel: accumulated over rows with per-chunk partial results
+  // reduced deterministically by chunk id. The chunk count is bounded by
+  // the n*n scratch each chunk holds.
   int64_t m = x.Rows(), n = x.Cols();
   int64_t chunks = PickChunksBounded(m, n * n * 8);
-  std::vector<std::vector<double>> partials(
-      static_cast<size_t>(chunks), std::vector<double>());
-  auto accumulate = [&](int64_t rb, int64_t re, int64_t ci) {
-    std::vector<double>& acc = partials[static_cast<size_t>(ci)];
-    acc.assign(static_cast<size_t>(n * n), 0.0);
-    if (!x.IsSparse()) {
-      for (int64_t i = rb; i < re; ++i) {
-        const double* row = x.DenseRow(i);
-        // Skip a zero only when its row is finite everywhere (unified
-        // zero-skip rule: 0 * Inf must stay NaN, matching the portable
-        // kernel). Checked lazily on the first zero in the row.
-        int row_finite = -1;
-        for (int64_t p = 0; p < n; ++p) {
-          double v = row[p];
-          if (v == 0.0) {
-            if (row_finite < 0) row_finite = AllFinite(row, n) ? 1 : 0;
-            if (row_finite == 1) continue;
-          }
-          double* arow = acc.data() + p * n;
-          for (int64_t q = p; q < n; ++q) arow[q] += v * row[q];
-        }
-      }
-    } else {
-      for (int64_t i = rb; i < re; ++i) {
-        const SparseRow& row = x.SparseData().Row(i);
-        for (int64_t p = 0; p < row.Size(); ++p) {
-          double v = row.Values()[p];
-          double* arow = acc.data() + row.Indexes()[p] * n;
-          for (int64_t q = p; q < row.Size(); ++q) {
-            arow[row.Indexes()[q]] += v * row.Values()[q];
+  std::vector<std::vector<double>> partials(static_cast<size_t>(chunks));
+  ThreadPool::Global().ParallelForWeighted(
+      0, m, chunks, [&](int64_t i) { return x.SparseData().Row(i).Size() + 1; },
+      [&](int64_t rb, int64_t re, int64_t ci) {
+        std::vector<double>& acc = partials[static_cast<size_t>(ci)];
+        acc.assign(static_cast<size_t>(n * n), 0.0);
+        for (int64_t i = rb; i < re; ++i) {
+          const SparseRow& row = x.SparseData().Row(i);
+          for (int64_t p = 0; p < row.Size(); ++p) {
+            double v = row.Values()[p];
+            double* arow = acc.data() + row.Indexes()[p] * n;
+            for (int64_t q = p; q < row.Size(); ++q) {
+              arow[row.Indexes()[q]] += v * row.Values()[q];
+            }
           }
         }
-      }
-    }
-  };
-  if (x.IsSparse()) {
-    ThreadPool::Global().ParallelForWeighted(
-        0, m, chunks,
-        [&](int64_t i) { return x.SparseData().Row(i).Size() + 1; },
-        accumulate, "tsmm");
-  } else {
-    int64_t chunk_rows = (m + chunks - 1) / chunks;
-    ThreadPool::Global().ParallelFor(
-        0, m, chunks,
-        [&](int64_t rb, int64_t re) { accumulate(rb, re, rb / chunk_rows); },
-        "tsmm");
-  }
-  TreeReducePartials(&partials, n * n);
-  MatrixBlock c = MatrixBlock::Dense(n, n);
-  double* pc = c.DenseData();
-  if (!partials.empty() && !partials[0].empty()) {
-    std::memcpy(pc, partials[0].data(),
-                static_cast<size_t>(n * n) * sizeof(double));
-  }
-  // Mirror upper to lower triangle.
-  MirrorLowerTriangle(pc, n, num_threads);
-  c.MarkNnzDirty();
-  c.ExamSparsity();
-  return c;
+      },
+      "tsmm");
+  return ReducedResult(&partials, n, n, /*mirror=*/true, num_threads);
 }
 
 StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
@@ -408,8 +591,15 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
     return c;
   }
 
-  // Native kernel: C = t(A) %*% B as a sum over shared rows (C += a_i b_i^T)
-  // with per-chunk n*l partials reduced deterministically by chunk id.
+  if (!a.IsSparse() && !b.IsSparse()) {
+    return internal::DenseTransposeLeft(a, b, /*symmetric=*/false,
+                                        internal::ActiveTileKernel(),
+                                        num_threads);
+  }
+
+  // Sparse kernels: C = t(A) %*% B as a sum over shared rows
+  // (C += a_i b_i^T) with per-chunk n*l partials reduced deterministically
+  // by chunk id.
   int64_t m = a.Rows(), n = a.Cols(), l = b.Cols();
   int64_t chunks = PickChunksBounded(m, n * l * 8);
   std::vector<std::vector<double>> partials(static_cast<size_t>(chunks));
@@ -417,23 +607,7 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
     std::vector<double>& acc = partials[static_cast<size_t>(ci)];
     acc.assign(static_cast<size_t>(n * l), 0.0);
     for (int64_t i = rb; i < re; ++i) {
-      if (!a.IsSparse() && !b.IsSparse()) {
-        const double* arow = a.DenseRow(i);
-        const double* brow = b.DenseRow(i);
-        // Unified zero-skip rule: skip a zero in A only when B's row i is
-        // finite everywhere (0 * Inf must stay NaN, like the portable
-        // kernel). Memoized per shared row.
-        int brow_finite = -1;
-        for (int64_t p = 0; p < n; ++p) {
-          double v = arow[p];
-          if (v == 0.0) {
-            if (brow_finite < 0) brow_finite = AllFinite(brow, l) ? 1 : 0;
-            if (brow_finite == 1) continue;
-          }
-          double* crow = acc.data() + p * l;
-          for (int64_t q = 0; q < l; ++q) crow[q] += v * brow[q];
-        }
-      } else if (a.IsSparse() && !b.IsSparse()) {
+      if (a.IsSparse() && !b.IsSparse()) {
         const SparseRow& arow = a.SparseData().Row(i);
         const double* brow = b.DenseRow(i);
         for (int64_t p = 0; p < arow.Size(); ++p) {
@@ -441,7 +615,7 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
           double* crow = acc.data() + arow.Indexes()[p] * l;
           for (int64_t q = 0; q < l; ++q) crow[q] += v * brow[q];
         }
-      } else if (!a.IsSparse() && b.IsSparse()) {
+      } else if (!a.IsSparse()) {
         const double* arow = a.DenseRow(i);
         const SparseRow& brow = b.SparseData().Row(i);
         for (int64_t p = 0; p < n; ++p) {
@@ -477,16 +651,7 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
         [&](int64_t rb, int64_t re) { accumulate(rb, re, rb / chunk_rows); },
         "tlmm");
   }
-  TreeReducePartials(&partials, n * l);
-  MatrixBlock c = MatrixBlock::Dense(n, l);
-  double* pc = c.DenseData();
-  if (!partials.empty() && !partials[0].empty()) {
-    std::memcpy(pc, partials[0].data(),
-                static_cast<size_t>(n * l) * sizeof(double));
-  }
-  c.MarkNnzDirty();
-  c.ExamSparsity();
-  return c;
+  return ReducedResult(&partials, n, l, /*mirror=*/false, num_threads);
 }
 
 }  // namespace sysds

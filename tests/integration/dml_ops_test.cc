@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "api/systemds_context.h"
+#include "testing/temp_dir.h"
 
 namespace sysds {
 namespace {
@@ -181,29 +182,31 @@ TEST(DmlOpsTest, LinearAlgebra) {
 }
 
 TEST(DmlOpsTest, ReadWriteRoundtripInDml) {
+  sysds_test::TempDir dir("dml_ops");
+  const std::string path = dir.File("rw.csv");
   SystemDSContext ctx;
   auto r = ctx.Execute(
       "X = rand(rows=20, cols=4, seed=5)\n"
-      "write(X, 'dml_ops_rw.csv')\n"
-      "Y = read('dml_ops_rw.csv')\n"
+      "write(X, '" + path + "')\n"
+      "Y = read('" + path + "')\n"
       "v = sum((X - Y)^2)\n",
       {}, {"v"});
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_NEAR(*r->GetDouble("v"), 0.0, 1e-18);
-  std::remove("dml_ops_rw.csv");
 }
 
 TEST(DmlOpsTest, BinaryFormatInDml) {
+  sysds_test::TempDir dir("dml_ops");
+  const std::string path = dir.File("rw.bin");
   SystemDSContext ctx;
   auto r = ctx.Execute(
       "X = rand(rows=30, cols=5, seed=6, sparsity=0.2)\n"
-      "write(X, 'dml_ops_rw.bin', format='binary')\n"
-      "Y = read('dml_ops_rw.bin', format='binary')\n"
+      "write(X, '" + path + "', format='binary')\n"
+      "Y = read('" + path + "', format='binary')\n"
       "v = sum((X - Y)^2)\n",
       {}, {"v"});
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("v"), 0.0);
-  std::remove("dml_ops_rw.bin");
 }
 
 TEST(DmlOpsTest, NestedFunctionCallsInExpressions) {

@@ -7,13 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "api/systemds_context.h"
 #include "common/statistics.h"
 #include "obs/metrics.h"
+#include "testing/temp_dir.h"
 
 namespace sysds {
 namespace {
@@ -145,16 +145,18 @@ TEST(FusionDifferentialTest, NnzAndSumSqAggregates) {
 TEST(FusionDifferentialTest, RecompileTriggersRefusion) {
   // Sizes of read() results are unknown at compile time; fusion must kick
   // in during dynamic recompilation once real dimensions are known.
+  sysds_test::TempDir dir("fusion_rc");
+  const std::string path = dir.File("x.csv");
   SystemDSContext gen;
   auto g = gen.Execute(
-      "X = rand(rows=80, cols=12, seed=13)\nwrite(X, 'fusion_rc.csv')\n", {},
+      "X = rand(rows=80, cols=12, seed=13)\nwrite(X, '" + path + "')\n", {},
       {});
   ASSERT_TRUE(g.ok()) << g.status();
 
   // The chain sits in a loop body — its own basic block — so by the time
   // that block recompiles at entry, X is live with known dimensions.
   const std::string script =
-      "X = read('fusion_rc.csv')\n"
+      "X = read('" + path + "')\n"
       "s = 0\n"
       "for (i in 1:2) {\n"
       "  R = rowSums(((X - 0.5) / 0.29)^2)\n"
@@ -179,7 +181,6 @@ TEST(FusionDifferentialTest, RecompileTriggersRefusion) {
   auto ru = unfused_ctx->Execute(script, Inputs(), Outputs("s"));
   ASSERT_TRUE(ru.ok()) << ru.status();
   EXPECT_EQ(*rf->GetDouble("s"), *ru->GetDouble("s"));
-  std::remove("fusion_rc.csv");
 }
 
 TEST(FusionDifferentialTest, MetricsReportElidedIntermediates) {

@@ -2,6 +2,7 @@
 
 #include "api/systemds_context.h"
 #include "common/statistics.h"
+#include "testing/temp_dir.h"
 
 namespace sysds {
 namespace {
@@ -9,9 +10,11 @@ namespace {
 TEST(RecompileTest, UnknownSizesFromReadAreResolved) {
   // Sizes of read() results are unknown at compile time; downstream blocks
   // recompile against live metadata (§2.3(3)).
+  sysds_test::TempDir dir("recompile");
+  const std::string path = dir.File("x.csv");
   SystemDSContext gen;
   auto g = gen.Execute(
-      "X = rand(rows=80, cols=12, seed=1)\nwrite(X, 'recomp_x.csv')\n", {},
+      "X = rand(rows=80, cols=12, seed=1)\nwrite(X, '" + path + "')\n", {},
       {});
   ASSERT_TRUE(g.ok()) << g.status();
 
@@ -20,7 +23,7 @@ TEST(RecompileTest, UnknownSizesFromReadAreResolved) {
   SystemDSContext ctx(config);
   Statistics::Get().Reset();
   auto r = ctx.Execute(
-      "X = read('recomp_x.csv')\n"
+      "X = read('" + path + "')\n"
       "A = t(X) %*% X\n"
       "n = nrow(X)\n"
       "s = sum(A)\n",
@@ -28,27 +31,27 @@ TEST(RecompileTest, UnknownSizesFromReadAreResolved) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 80.0);
   EXPECT_GT(Statistics::Get().GetCounter("compiler.recompilations"), 0);
-  std::remove("recomp_x.csv");
 }
 
 TEST(RecompileTest, DisabledRecompilationStillCorrect) {
   // Instructions are size-dynamic, so turning recompilation off changes
   // only plan choices, never results.
+  sysds_test::TempDir dir("recompile");
+  const std::string path = dir.File("y.csv");
   SystemDSContext gen;
   auto g = gen.Execute(
-      "X = rand(rows=40, cols=6, seed=2)\nwrite(X, 'recomp_y.csv')\n", {},
+      "X = rand(rows=40, cols=6, seed=2)\nwrite(X, '" + path + "')\n", {},
       {});
   ASSERT_TRUE(g.ok());
   DMLConfig config;
   config.dynamic_recompilation = false;
   SystemDSContext ctx(config);
   auto r = ctx.Execute(
-      "X = read('recomp_y.csv')\n"
+      "X = read('" + path + "')\n"
       "s = sum(t(X) %*% X)\n",
       {}, {"s"});
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(*r->GetDouble("s"), 0.0);
-  std::remove("recomp_y.csv");
 }
 
 TEST(RecompileTest, LoopWithGrowingMatrix) {

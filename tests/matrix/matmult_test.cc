@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <tuple>
+
 #include "runtime/matrix/lib_datagen.h"
 #include "runtime/matrix/lib_reorg.h"
 
@@ -103,13 +108,25 @@ TEST_P(TsmmParamTest, RightMatchesExplicit) {
   EXPECT_TRUE(fused->EqualsApprox(RefMatMult(x, xt), 1e-9));
 }
 
+// The dense shapes put every tile edge in play: column counts below, at and
+// above the vector and tile widths, and 203 rows, which split into 25
+// chunks of 9 rows with a partial last chunk of 5.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, TsmmParamTest,
     ::testing::Values(std::make_tuple(50, 10, 1.0),
                       std::make_tuple(33, 17, 1.0),
                       std::make_tuple(64, 8, 0.1),
                       std::make_tuple(200, 20, 0.05),
-                      std::make_tuple(5, 5, 1.0)));
+                      std::make_tuple(5, 5, 1.0),
+                      std::make_tuple(203, 1, 1.0),
+                      std::make_tuple(203, 7, 1.0),
+                      std::make_tuple(203, 8, 1.0),
+                      std::make_tuple(203, 9, 1.0),
+                      std::make_tuple(203, 15, 1.0),
+                      std::make_tuple(203, 16, 1.0),
+                      std::make_tuple(203, 17, 1.0),
+                      std::make_tuple(203, 24, 1.0),
+                      std::make_tuple(203, 200, 1.0)));
 
 TEST(TsmmTest, PortableAndNativeKernelsAgree) {
   MatrixBlock x = Random(83, 21, 1.0, 11);
@@ -156,6 +173,115 @@ INSTANTIATE_TEST_SUITE_P(SparsityCombos, TmmParamTest,
                                            std::make_tuple(0.1, 1.0),
                                            std::make_tuple(1.0, 0.1),
                                            std::make_tuple(0.1, 0.1)));
+
+// Dense t(A) %*% B over (rows, A cols, B cols): A's column count sets the
+// tile's row edge, B's its vector edge.
+class TlmmShapeTest : public ::testing::TestWithParam<
+                          std::tuple<int64_t, int64_t, int64_t>> {};
+
+TEST_P(TlmmShapeTest, MatchesExplicitTranspose) {
+  auto [rows, n, l] = GetParam();
+  MatrixBlock a = Random(rows, n, 1.0, 13);
+  MatrixBlock b = Random(rows, l, 1.0, 14);
+  auto fused = TransposeLeftMatMult(a, b, 3);
+  ASSERT_TRUE(fused.ok());
+  EXPECT_TRUE(fused->EqualsApprox(RefMatMult(Transpose(a, 1), b), 1e-9));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TlmmShapeTest,
+    ::testing::Values(std::make_tuple(203, 1, 7), std::make_tuple(203, 7, 1),
+                      std::make_tuple(203, 8, 9), std::make_tuple(203, 9, 8),
+                      std::make_tuple(203, 15, 16),
+                      std::make_tuple(203, 16, 15),
+                      std::make_tuple(203, 17, 24),
+                      std::make_tuple(203, 24, 17),
+                      std::make_tuple(203, 200, 1),
+                      std::make_tuple(203, 1, 200),
+                      std::make_tuple(203, 17, 200)));
+
+// A zero and an Inf in one dense row: every kernel multiplies all elements,
+// so the cells pairing them are 0 * Inf = NaN, as in the portable kernel.
+// One such row sits mid-matrix, one is the last row.
+TEST(TsmmTest, ZeroTimesInfIsNaNInDenseKernels) {
+  const double inf = std::numeric_limits<double>::infinity();
+  MatrixBlock x = Random(203, 19, 1.0, 15);
+  x.Set(100, 2, 0.0);
+  x.Set(100, 6, inf);
+  x.Set(202, 11, 0.0);
+  x.Set(202, 17, inf);
+  MatrixBlock z = Random(203, 3, 1.0, 16);
+  z.Set(100, 1, 0.0);
+  x.MarkNnzDirty();
+  z.MarkNnzDirty();
+  SetGemmKernel(GemmKernel::kPortable);
+  auto tsmm_ref = TransposeSelfMatMult(x, true, 2);
+  auto tlmm_ref = TransposeLeftMatMult(z, x, 2);
+  SetGemmKernel(GemmKernel::kNative);
+  auto tsmm = TransposeSelfMatMult(x, true, 2);
+  auto tlmm = TransposeLeftMatMult(z, x, 2);
+  auto tlmm_self = TransposeLeftMatMult(x, x, 2);
+  ASSERT_TRUE(tsmm_ref.ok() && tlmm_ref.ok() && tsmm.ok() && tlmm.ok() &&
+              tlmm_self.ok());
+  for (const auto& [p, q] : {std::pair{2, 6}, std::pair{6, 2},
+                             std::pair{11, 17}, std::pair{17, 11}}) {
+    EXPECT_TRUE(std::isnan(tsmm_ref->Get(p, q))) << p << "," << q;
+    EXPECT_TRUE(std::isnan(tsmm->Get(p, q))) << p << "," << q;
+    EXPECT_TRUE(std::isnan(tlmm_self->Get(p, q))) << p << "," << q;
+  }
+  EXPECT_TRUE(std::isnan(tlmm_ref->Get(1, 6)));
+  EXPECT_TRUE(std::isnan(tlmm->Get(1, 6)));
+  EXPECT_TRUE(tsmm->EqualsApprox(*tsmm_ref, 1e-9));
+  EXPECT_TRUE(tlmm->EqualsApprox(*tlmm_ref, 1e-9));
+  EXPECT_TRUE(tlmm_self->EqualsApprox(*tsmm_ref, 1e-9));
+}
+
+bool BitIdentical(const MatrixBlock& a, const MatrixBlock& b) {
+  return a.Rows() == b.Rows() && a.Cols() == b.Cols() &&
+         std::memcmp(a.DenseData(), b.DenseData(),
+                     static_cast<size_t>(a.Rows() * a.Cols()) *
+                         sizeof(double)) == 0;
+}
+
+// Every tile-kernel build this CPU can run, reached through the internal
+// variant table: each agrees with the portable kernel and is bit-identical
+// across thread counts. The 16411-row shape gives chunks of 257 rows, more
+// than one kernel row block at 64 + 64 columns.
+TEST(TsmmTest, EveryTileKernelVariantAgreesAndIsDeterministic) {
+  struct Shape {
+    int64_t rows, n, l;
+  };
+  int ran = 0;
+  for (Shape s : {Shape{203, 17, 9}, Shape{2000, 200, 1},
+                  Shape{16411, 64, 64}, Shape{100, 1, 24}}) {
+    MatrixBlock a = Random(s.rows, s.n, 1.0, 17);
+    MatrixBlock b = Random(s.rows, s.l, 1.0, 18);
+    SetGemmKernel(GemmKernel::kPortable);
+    auto tsmm_ref = TransposeSelfMatMult(a, true, 4);
+    auto tlmm_ref = TransposeLeftMatMult(a, b, 4);
+    SetGemmKernel(GemmKernel::kNative);
+    ASSERT_TRUE(tsmm_ref.ok() && tlmm_ref.ok());
+    for (const internal::TileKernelVariant& v :
+         internal::TileKernelVariants()) {
+      if (!v.supported()) continue;
+      ++ran;
+      MatrixBlock tsmm1 = internal::DenseTransposeLeft(a, a, true, v, 1);
+      MatrixBlock tlmm1 = internal::DenseTransposeLeft(a, b, false, v, 1);
+      EXPECT_TRUE(tsmm1.EqualsApprox(*tsmm_ref, 1e-9)) << v.name;
+      EXPECT_TRUE(tlmm1.EqualsApprox(*tlmm_ref, 1e-9)) << v.name;
+      for (int t : {2, 4, 8}) {
+        EXPECT_TRUE(BitIdentical(
+            tsmm1, internal::DenseTransposeLeft(a, a, true, v, t)))
+            << v.name << " tsmm t=" << t;
+        EXPECT_TRUE(BitIdentical(
+            tlmm1, internal::DenseTransposeLeft(a, b, false, v, t)))
+            << v.name << " tlmm t=" << t;
+      }
+    }
+  }
+  EXPECT_GE(ran, 4);
+  EXPECT_TRUE(internal::ActiveTileKernel().supported());
+}
 
 TEST(TmmTest, RowMismatchRejected) {
   MatrixBlock a = MatrixBlock::Dense(5, 2);

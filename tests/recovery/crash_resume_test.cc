@@ -22,6 +22,7 @@
 #include "obs/metrics.h"
 #include "runtime/matrix/lib_datagen.h"
 #include "runtime/ps/param_server.h"
+#include "testing/temp_dir.h"
 
 namespace sysds {
 namespace {
@@ -32,24 +33,7 @@ int64_t Counter(const std::string& name) {
   return obs::MetricsRegistry::Get().CounterValue(name);
 }
 
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    path_ = (fs::temp_directory_path() /
-             ("sysds_crashresume_" + tag + "_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this))))
-                .string();
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using sysds_test::TempDir;
 
 // The crash point (1-based checkpoint boundary) and the chaos seed. The
 // kill point itself is exact — the seed exercises the injector's seeded

@@ -22,34 +22,14 @@
 #include "runtime/controlprog/data.h"
 #include "runtime/controlprog/program.h"
 #include "runtime/matrix/matrix_block.h"
+#include "testing/temp_dir.h"
 
 namespace sysds {
 namespace {
 
 namespace fs = std::filesystem;
 
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    path_ = (fs::temp_directory_path() /
-             ("sysds_recovery_" + tag + "_" +
-              std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-              "_" + std::to_string(reinterpret_cast<uintptr_t>(this))))
-                .string();
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-  std::string File(const std::string& name) const {
-    return (fs::path(path_) / name).string();
-  }
-
- private:
-  std::string path_;
-};
+using sysds_test::TempDir;
 
 TEST(Crc32Test, KnownAnswer) {
   // The IEEE 802.3 check value for "123456789".

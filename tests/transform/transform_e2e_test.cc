@@ -4,11 +4,11 @@
 // round-trip through the meta frame.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "api/systemds_context.h"
+#include "testing/temp_dir.h"
 
 namespace sysds {
 namespace {
@@ -16,7 +16,7 @@ namespace {
 class TransformE2ETest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = "transform_e2e_people.csv";
+    path_ = dir_.File("people.csv");
     std::ofstream out(path_);
     out << "city,age\n";
     const char* cities[] = {"graz", "vienna", "linz"};
@@ -24,7 +24,6 @@ class TransformE2ETest : public ::testing::Test {
       out << cities[i % 3] << "," << (20 + i % 50) << "\n";
     }
   }
-  void TearDown() override { std::remove(path_.c_str()); }
 
   std::string Script() const {
     return "F = read('" + path_ +
@@ -35,6 +34,7 @@ class TransformE2ETest : public ::testing::Test {
            "c = sum(X^2)\n";
   }
 
+  sysds_test::TempDir dir_{"transform_e2e"};
   std::string path_;
 };
 
