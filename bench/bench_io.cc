@@ -1,9 +1,10 @@
 // Ablation A6 (§3.2 / §4.2 observation 1): data ingestion. Multi-threaded
 // CSV parsing vs single-threaded (string-to-double parsing is compute-
-// intensive), the binary block format, and the generated readers from
-// format descriptors. Also the durable-file path the buffer pool and the
-// checkpoints share: a spill write (WriteAtomic of a dense block), its
-// verified restore, a checkpoint-style ReadVerified, and CRC-32 throughput.
+// intensive), the CSV writer, the binary block format, and the generated
+// readers from format descriptors. Also the durable-file path the buffer
+// pool and the checkpoints share: a spill write (WriteAtomic of a dense
+// block), its verified restore, a checkpoint-style ReadVerified, and CRC-32
+// throughput.
 //
 // Every row runs once as warm-up, then five timed repetitions, and reports
 // the median, min and interquartile range in seconds plus MB/s at the
@@ -144,6 +145,14 @@ int main(int argc, char** argv) {
             csv, FormatDescriptor::Csv(',', false, DefaultParallelism()));
       },
       matches_x);
+  // The writer's output must read back to the same bits.
+  const std::string csv_out = (dir / "X_out.csv").string();
+  row("csv_write", csv_mb,
+      [&] { return io::Write(*x, csv_out, FormatDescriptor::Csv()); },
+      [&](const Status& st) {
+        return st.ok() &&
+               SameCells(io::Read(csv_out, FormatDescriptor::Csv()), *x);
+      });
   row("binary_block_format", file_mb(bin),
       [&] { return io::Read(bin, FormatDescriptor::Binary()); },
       [&](const StatusOr<MatrixBlock>& m) { return SameCells(m, *x); });

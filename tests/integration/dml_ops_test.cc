@@ -195,6 +195,22 @@ TEST(DmlOpsTest, ReadWriteRoundtripInDml) {
   EXPECT_NEAR(*r->GetDouble("v"), 0.0, 1e-18);
 }
 
+TEST(DmlOpsTest, CsvHeaderRoundtripInDml) {
+  sysds_test::TempDir dir("dml_ops");
+  const std::string path = dir.File("rw_header.csv");
+  SystemDSContext ctx;
+  auto r = ctx.Execute(
+      "X = rand(rows=20, cols=4, seed=8)\n"
+      "write(X, '" + path + "', format=\"csv\", header=TRUE)\n"
+      "Y = read('" + path + "', format=\"csv\", header=TRUE)\n"
+      "n = nrow(Y)\n"
+      "v = sum((X - Y)^2)\n",
+      {}, {"n", "v"});
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 20.0);
+  EXPECT_DOUBLE_EQ(*r->GetDouble("v"), 0.0);
+}
+
 TEST(DmlOpsTest, BinaryFormatInDml) {
   sysds_test::TempDir dir("dml_ops");
   const std::string path = dir.File("rw.bin");

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <sstream>
 
 #include "io/format_descriptor.h"
+#include "obs/metrics.h"
 #include "runtime/matrix/lib_datagen.h"
 
 namespace sysds {
@@ -284,6 +290,217 @@ TEST_F(IoTest, MatrixKindDescriptorNeedsNoColumns) {
   EXPECT_EQ(desc->num_threads, 2);
   auto fail = ParseFormatDescriptor(R"({"kind":"delimited"})");
   EXPECT_FALSE(fail.ok());
+}
+
+// --- csv differential tests: the reader against a per-token strtod oracle,
+// the writer against a per-cell snprintf("%.17g") oracle.
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream s;
+  s << in.rdbuf();
+  return s.str();
+}
+
+// Cells of a csv text the way the reader defines them: lines split on '\n'
+// (a last line without one included), cells on ',', each cell strtod'ed as
+// one NUL-terminated token.
+std::vector<std::vector<double>> StrtodOracle(const std::string& text) {
+  std::vector<std::vector<double>> rows;
+  size_t p = 0;
+  while (p < text.size()) {
+    size_t nl = text.find('\n', p);
+    if (nl == std::string::npos) nl = text.size();
+    std::vector<double> row;
+    size_t t = p;
+    while (true) {
+      size_t e = text.find(',', t);
+      if (e == std::string::npos || e > nl) e = nl;
+      row.push_back(std::strtod(text.substr(t, e - t).c_str(), nullptr));
+      if (e == nl) break;
+      t = e + 1;
+    }
+    rows.push_back(row);
+    p = nl + 1;
+  }
+  return rows;
+}
+
+TEST_F(IoTest, CsvReaderMatchesStrtodOracleBitForBit) {
+  const std::vector<std::string> odd = {
+      "nan",    "NaN",      "-nan",    "inf",      "-inf",   "Infinity",
+      "-0",     "1e308",    "1e-320",  "4.9e-324", "+1",     " 2",
+      "  -3.5e2", "0x1p3",  "",        "1e400",    "-1e-400", "1.5abc",
+      "abc",    "nan(7)",   "3.",      "0.1",      "2.2250738585072014e-308",
+      "123456789.123456789"};
+  std::string text;
+  uint64_t state = 42;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  // 6000 rows of ~70 bytes: far more than one chunk at 8 threads, so chunk
+  // boundaries fall mid-file; CRLF line ends and no final newline.
+  for (int r = 0; r < 6000; ++r) {
+    for (int c = 0; c < 6; ++c) {
+      if (c > 0) text += ',';
+      if (next() % 4 == 0) {
+        text += odd[next() % odd.size()];
+      } else {
+        char buf[40];
+        const int digits = static_cast<int>(next() % 17) + 1;
+        std::snprintf(buf, sizeof(buf), "%.*g", digits,
+                      (static_cast<double>(next()) - 2e9) / 7.0);
+        text += buf;
+      }
+    }
+    if (r + 1 < 6000) text += "\r\n";
+  }
+  {
+    std::ofstream f(Path("odd.csv"), std::ios::binary);
+    f << text;
+  }
+  const auto want = StrtodOracle(text);
+  for (int threads : {1, 8}) {
+    auto m = io::Read(Path("odd.csv"),
+                      FormatDescriptor::Csv(',', false, threads));
+    ASSERT_TRUE(m.ok()) << m.status();
+    ASSERT_EQ(m->Rows(), 6000);
+    ASSERT_EQ(m->Cols(), 6);
+    for (int64_t r = 0; r < m->Rows(); ++r) {
+      for (int64_t c = 0; c < m->Cols(); ++c) {
+        ASSERT_EQ(Bits(m->Get(r, c)), Bits(want[r][c]))
+            << "threads " << threads << " row " << r << " col " << c;
+      }
+    }
+  }
+}
+
+TEST_F(IoTest, CsvWriterMatchesPrintfOracleByteForByte) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> special = {
+      0.0, -0.0, 1.0, -1.0, nan, -nan, INFINITY, -INFINITY,
+      // %g switches to exponent form below 1e-4 and at 1e17 (precision 17).
+      1e-5, std::nextafter(1e-5, 0.0), std::nextafter(1e-5, 1.0), 1e-4,
+      std::nextafter(1e-4, 0.0), 1e17, std::nextafter(1e17, 0.0),
+      std::nextafter(1e17, 1e18), 1e16, 4.9406564584124654e-324,
+      2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3,
+      0.30000000000000004, 1e21, 12345.678, -2.5e-310};
+  auto oracle = [](const MatrixBlock& m) {
+    std::string s;
+    char buf[64];
+    for (int64_t r = 0; r < m.Rows(); ++r) {
+      for (int64_t c = 0; c < m.Cols(); ++c) {
+        if (c > 0) s += ',';
+        s.append(buf, std::snprintf(buf, sizeof(buf), "%.17g", m.Get(r, c)));
+      }
+      s += '\n';
+    }
+    return s;
+  };
+  MatrixBlock m = MatrixBlock::FromValues(
+      static_cast<int64_t>(special.size()) / 2, 2, special);
+  ASSERT_TRUE(io::Write(m, Path("w.csv"), FormatDescriptor::Csv()).ok());
+  EXPECT_EQ(ReadText(Path("w.csv")), oracle(m));
+
+  auto sparse = RandMatrix(3000, 40, -1e6, 1e6, 0.02, 9, RandPdf::kUniform, 1);
+  ASSERT_TRUE(sparse->IsSparse());
+  ASSERT_TRUE(
+      io::Write(*sparse, Path("ws.csv"), FormatDescriptor::Csv()).ok());
+  EXPECT_EQ(ReadText(Path("ws.csv")), oracle(*sparse));
+
+  auto dense = RandMatrix(4000, 60, -1, 1, 1.0, 10, RandPdf::kNormal, 1);
+  ASSERT_TRUE(io::Write(*dense, Path("wd.csv"), FormatDescriptor::Csv()).ok());
+  EXPECT_EQ(ReadText(Path("wd.csv")), oracle(*dense));
+}
+
+TEST_F(IoTest, CsvRaggedRowReportsFirstBadRowAtAnyThreadCount) {
+  {
+    std::ofstream f(Path("rag.csv"));
+    for (int r = 1; r <= 9000; ++r) {
+      f << (r == 4321 || r == 8000 ? "1,2\n" : "1,2,3\n");
+    }
+  }
+  for (int threads : {1, 8}) {
+    auto m = io::Read(Path("rag.csv"),
+                      FormatDescriptor::Csv(',', false, threads));
+    ASSERT_FALSE(m.ok());
+    EXPECT_EQ(m.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(m.status().message(),
+              "csv: row 4321 has 2 columns, expected 3")
+        << "threads " << threads;
+  }
+}
+
+TEST_F(IoTest, CsvLongCellIsParsedWhole) {
+  // 70 digits: cut at 63 bytes it would read as 1e62.
+  const std::string big = "1" + std::string(69, '0');
+  {
+    std::ofstream f(Path("long.csv"));
+    f << big << ", " << big << "\n";
+  }
+  auto m = io::Read(Path("long.csv"), FormatDescriptor::Csv());
+  ASSERT_TRUE(m.ok()) << m.status();
+  EXPECT_EQ(m->Get(0, 0), 1e69);
+  EXPECT_EQ(m->Get(0, 1), 1e69);  // leading blank: the strtod fallback
+}
+
+TEST_F(IoTest, CsvHeaderRoundTrip) {
+  auto m = RandMatrix(30, 3, -1, 1, 1.0, 11, RandPdf::kUniform, 1);
+  ASSERT_TRUE(
+      io::Write(*m, Path("h.csv"), FormatDescriptor::Csv(',', true)).ok());
+  const std::string text = ReadText(Path("h.csv"));
+  EXPECT_EQ(text.substr(0, text.find('\n')), "C1,C2,C3");
+  auto back = io::Read(Path("h.csv"), FormatDescriptor::Csv(',', true));
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->Rows(), 30);
+  EXPECT_TRUE(back->EqualsApprox(*m, 0));
+}
+
+TEST_F(IoTest, WriteToFullDiskFails) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full does not exist";
+  }
+  // One matrix small enough to sit in stdio's buffer until fclose, one
+  // larger than a writer chunk.
+  for (int64_t rows : {2, 20000}) {
+    auto m = RandMatrix(rows, 20, -1, 1, 1.0, 12, RandPdf::kUniform, 1);
+    Status s = io::Write(*m, "/dev/full", FormatDescriptor::Csv());
+    EXPECT_FALSE(s.ok()) << rows << " rows";
+    EXPECT_NE(s.message().find("/dev/full"), std::string::npos);
+  }
+  FrameBlock f(3, {ValueType::kString, ValueType::kFP64});
+  f.SetString(0, 0, "a");
+  f.SetDouble(0, 1, 1.5);
+  Status s = io::Write(f, "/dev/full", FormatDescriptor::Csv());
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("/dev/full"), std::string::npos);
+}
+
+TEST_F(IoTest, ReadAndWriteAdvanceIoCounters) {
+  auto& reg = obs::MetricsRegistry::Get();
+  auto m = RandMatrix(200, 10, -1, 1, 1.0, 13, RandPdf::kUniform, 1);
+  const int64_t wrote = reg.CounterValue("io.write_bytes");
+  const int64_t write_ns = reg.CounterValue("io.write_ns");
+  ASSERT_TRUE(io::Write(*m, Path("n.csv"), FormatDescriptor::Csv()).ok());
+  const auto size =
+      static_cast<int64_t>(std::filesystem::file_size(Path("n.csv")));
+  EXPECT_EQ(reg.CounterValue("io.write_bytes") - wrote, size);
+  EXPECT_GT(reg.CounterValue("io.write_ns"), write_ns);
+
+  const int64_t read = reg.CounterValue("io.read_bytes");
+  const int64_t read_ns = reg.CounterValue("io.read_ns");
+  ASSERT_TRUE(io::Read(Path("n.csv"), FormatDescriptor::Csv()).ok());
+  EXPECT_EQ(reg.CounterValue("io.read_bytes") - read, size);
+  EXPECT_GT(reg.CounterValue("io.read_ns"), read_ns);
+  ASSERT_TRUE(io::ReadFrame(Path("n.csv"), FormatDescriptor::Csv()).ok());
+  EXPECT_EQ(reg.CounterValue("io.read_bytes") - read, 2 * size);
 }
 
 }  // namespace
