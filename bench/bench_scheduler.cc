@@ -57,14 +57,15 @@ class OldMutexPool {
       return;
     }
     int64_t chunk = (n + num_chunks - 1) / num_chunks;
+    // Count every non-empty chunk before submitting any: workers decrement
+    // under jmu while later chunks are still being queued.
+    const int64_t nonempty = (n + chunk - 1) / chunk;
     std::mutex jmu;
     std::condition_variable jcv;
-    int64_t outstanding = 0;
-    for (int64_t c = 0; c < num_chunks; ++c) {
+    int64_t outstanding = nonempty;
+    for (int64_t c = 0; c < nonempty; ++c) {
       int64_t b = begin + c * chunk;
       int64_t e = std::min(end, b + chunk);
-      if (b >= e) continue;
-      ++outstanding;
       Submit([&, b, e] {
         fn(b, e);
         std::lock_guard<std::mutex> lock(jmu);

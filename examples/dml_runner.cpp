@@ -24,8 +24,8 @@
 // --mem-limit BYTES caps the buffer pool: matrix data beyond the limit is
 // transparently spilled to temp files and restored on access (results are
 // identical at any limit; --metrics reports the bufferpool.* counters).
-// --no-write-behind / --no-prefetch disable the pool's asynchronous spill
-// writer and loop-hint prefetcher for debugging or benchmarking stalls.
+// --no-write-behind disables the pool's asynchronous spill writer for
+// debugging or benchmarking stalls.
 
 #include <fstream>
 #include <iostream>
@@ -44,8 +44,7 @@ int main(int argc, char** argv) {
                  " [--chaos-seed N] [--no-fusion] [--compress]"
                  " [--transform-compressed] [--transform-threads N]"
                  " [--checkpoint-dir DIR] [--checkpoint-interval N]"
-                 " [--resume] [--mem-limit BYTES] [--no-write-behind]"
-                 " [--no-prefetch]\n";
+                 " [--resume] [--mem-limit BYTES] [--no-write-behind]\n";
     return 2;
   }
 
@@ -100,8 +99,6 @@ int main(int argc, char** argv) {
       config.buffer_pool_limit = std::atoll(argv[++i]);
     } else if (arg == "--no-write-behind" || arg == "-no-write-behind") {
       config.buffer_pool_write_behind = false;
-    } else if (arg == "--no-prefetch" || arg == "-no-prefetch") {
-      config.buffer_pool_prefetch = false;
     } else if (arg == "-reuse" || arg == "-threads" || arg == "--trace" ||
                arg == "-trace" || arg == "--metrics" || arg == "-metrics" ||
                arg == "--chaos-seed" || arg == "-chaos-seed" ||

@@ -212,11 +212,6 @@ SystemDSContext::Builder& SystemDSContext::Builder::BufferPoolWriteBehind(
   config_.buffer_pool_write_behind = on;
   return *this;
 }
-SystemDSContext::Builder& SystemDSContext::Builder::BufferPoolPrefetch(
-    bool on) {
-  config_.buffer_pool_prefetch = on;
-  return *this;
-}
 SystemDSContext::Builder& SystemDSContext::Builder::BlockSize(int64_t rows) {
   config_.block_size = rows;
   return *this;
@@ -329,7 +324,6 @@ SystemDSContext::SystemDSContext(DMLConfig config)
   BufferPool::Options pool_options;
   pool_options.limit_bytes = config_->buffer_pool_limit;
   pool_options.write_behind = config_->buffer_pool_write_behind;
-  pool_options.prefetch = config_->buffer_pool_prefetch;
   pool_ = std::make_shared<BufferPool>(pool_options);
   cache_ = std::make_shared<LineageCache>(config_->lineage_cache_limit,
                                           config_->reuse_policy);

@@ -46,9 +46,6 @@ struct DMLConfig {
   // callers only block on spill writes above the pool's hard limit. When
   // off, every eviction writes synchronously on the evicting thread.
   bool buffer_pool_write_behind = true;
-  // Hint-driven prefetch: loops restore their spilled invariant operands
-  // asynchronously at iteration boundaries (compiler liveness hints).
-  bool buffer_pool_prefetch = true;
 
   // Block size (rows==cols) of the distributed blocking scheme.
   int64_t block_size = 1024;

@@ -155,6 +155,26 @@ inline double ParseCell(const char* b, const char* e) {
 // ---------------------------------------------------------------------------
 // csv: parallel numeric matrix text and frame text.
 
+Status CsvShortRowError(int64_t row, int64_t cells, int64_t cols) {
+  return IoError("csv: row " + std::to_string(row + 1) + " has " +
+                 std::to_string(cells) + " columns, expected " +
+                 std::to_string(cols));
+}
+
+// The error for the first line of [begin, end) with fewer than `cols`
+// cells; the caller knows there is one.
+Status FirstShortCsvRow(const char* begin, const char* end, int64_t cols,
+                        char delim) {
+  int64_t row = 0;
+  for (const char* p = begin; p < end; ++row) {
+    const char* line_end = FindNewline(p, end);
+    const int64_t cells = 1 + std::count(p, line_end, delim);
+    if (cells < cols) return CsvShortRowError(row, cells, cols);
+    p = line_end + 1;
+  }
+  return Internal("csv: no short row");
+}
+
 StatusOr<MatrixBlock> ReadMatrixCsvImpl(const std::string& path,
                                         const FormatDescriptor& desc) {
   SYSDS_ASSIGN_OR_RETURN(std::string data, ReadFile(path));
@@ -175,7 +195,15 @@ StatusOr<MatrixBlock> ReadMatrixCsvImpl(const std::string& path,
   const std::vector<TextChunk> chunks = LineAlignedChunks(begin, end, threads);
   const std::vector<int64_t> first_row =
       ChunkRowOffsets(chunks, [](const char*, const char*) { return true; });
-  MatrixBlock m = MatrixBlock::Dense(first_row.back(), cols);
+  // A full row takes at least `cols` bytes (cols - 1 delimiters and a
+  // newline, which the last row may lack), so rows * cols > bytes + 1
+  // proves a short row. Report it before the first line's width sizes a
+  // rows x cols block the file cannot fill.
+  const int64_t rows = first_row.back();
+  if (cols > (static_cast<int64_t>(end - begin) + 1) / rows) {
+    return FirstShortCsvRow(begin, end, cols, delim);
+  }
+  MatrixBlock m = MatrixBlock::Dense(rows, cols);
 
   // Cells past the first line's width are ignored; a short row fails.
   std::vector<Status> chunk_status(chunks.size());
@@ -199,10 +227,7 @@ StatusOr<MatrixBlock> ReadMatrixCsvImpl(const std::string& path,
         tok = q + 1;
       }
       if (col != cols) {
-        chunk_status[c] = IoError("csv: row " + std::to_string(row + 1) +
-                                  " has " + std::to_string(col) +
-                                  " columns, expected " +
-                                  std::to_string(cols));
+        chunk_status[c] = CsvShortRowError(row, col, cols);
         return false;
       }
       ++row;
@@ -557,7 +582,8 @@ class IjvFormatWriter : public Writer {
                  static_cast<long long>(m.Rows()),
                  static_cast<long long>(m.Cols()),
                  static_cast<long long>(m.NonZeros()));
-    for (int64_t r = 0; r < m.Rows(); ++r) {
+    // A failed fprintf sets the stream's error flag; stop at the first.
+    for (int64_t r = 0; r < m.Rows() && !std::ferror(f); ++r) {
       if (m.IsSparse()) {
         const SparseRow& row = m.SparseData().Row(r);
         for (int64_t p = 0; p < row.Size(); ++p) {
@@ -577,7 +603,10 @@ class IjvFormatWriter : public Writer {
         }
       }
     }
-    std::fclose(f);
+    const bool write_failed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || write_failed) {
+      return IoError("write failed for '" + path + "'");
+    }
     return Status::Ok();
   }
 };

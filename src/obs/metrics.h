@@ -41,8 +41,11 @@ class Counter {
   Cell cells_[kMetricShards];
 };
 
-/// Point-in-time value (queue depth, cached bytes, active workers).
-class Gauge {
+/// Point-in-time value (queue depth, cached bytes, active workers). One
+/// cache line each: gauges are written on hot paths (the buffer pool sets
+/// three per pin and unpin), and an 8-byte gauge sharing a line with other
+/// hot heap data false-shares with it.
+class alignas(64) Gauge {
  public:
   void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void Add(int64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }

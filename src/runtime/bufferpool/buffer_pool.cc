@@ -26,7 +26,6 @@ struct PoolMetrics {
   obs::Counter* writebacks;
   obs::Counter* writeback_bytes;
   obs::Counter* writeback_failures;
-  obs::Counter* prefetch_issued;
   obs::Counter* spill_retries;
   obs::Counter* spill_repins;
   obs::Histogram* evict_stall_ns;
@@ -46,7 +45,6 @@ PoolMetrics& Metrics() {
       r.GetCounter("bufferpool.writebacks"),
       r.GetCounter("bufferpool.writeback_bytes"),
       r.GetCounter("fault.bufferpool.writeback_failures"),
-      r.GetCounter("bufferpool.prefetch_issued"),
       r.GetCounter("fault.bufferpool.spill_retries"),
       r.GetCounter("fault.bufferpool.spill_repins"),
       r.GetHistogram("bufferpool.evict_stall_ns"),
@@ -54,6 +52,13 @@ PoolMetrics& Metrics() {
   };
   return m;
 }
+
+// Callers block on synchronous eviction only above limit * kHardLimitFactor;
+// between the soft and hard limit the writer catches up asynchronously.
+constexpr double kHardLimitFactor = 1.25;
+// Share of the limit reserved for the probationary A1in queue before its
+// head is evicted in preference to the protected queue.
+constexpr double kProbationFraction = 0.25;
 
 int64_t NowNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -73,7 +78,7 @@ BufferPool::BufferPool(const Options& options)
                    .string();
   std::error_code ec;
   std::filesystem::create_directories(spill_dir_, ec);
-  if (options_.write_behind || options_.prefetch) {
+  if (options_.write_behind) {
     background_ = std::thread([this] { BackgroundLoop(); });
   }
 }
@@ -87,17 +92,12 @@ BufferPool::~BufferPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
-    // Abandon queued tasks; the in-flight one (if any) finishes first.
-    for (const Task& t : task_queue_) {
-      auto it = entries_.find(t.obj);
-      if (it == entries_.end()) continue;
-      if (t.kind == TaskKind::kWriteback) it->second.queued_writeback = false;
-      if (t.kind == TaskKind::kPrefetch && it->second.restoring) {
-        it->second.restoring = false;
-        inflight_restore_bytes_ -= it->second.size;
-      }
+    // Abandon queued writebacks; the in-flight one (if any) finishes first.
+    for (MatrixObject* obj : writeback_queue_) {
+      auto it = entries_.find(obj);
+      if (it != entries_.end()) it->second.queued_writeback = false;
     }
-    task_queue_.clear();
+    writeback_queue_.clear();
   }
   work_cv_.notify_all();
   if (background_.joinable()) background_.join();
@@ -114,30 +114,22 @@ void BufferPool::Register(MatrixObject* obj, int64_t size_bytes) {
   auto it = entries_.find(obj);
   if (it == entries_.end()) {
     it = entries_.emplace(obj, Entry{}).first;
+  } else {
+    // Re-registration (decompress-on-read, or coalesced restores): drop
+    // the old accounting before re-queueing at the new size.
+    Entry& old = it->second;
+    cached_bytes_ -= old.size;
+    queue_bytes_[old.queue] -= old.size;
+    queues_[old.queue].erase(old.pos);
+    if (old.pinned) pinned_bytes_ += size_bytes - old.size;
   }
   Entry& e = it->second;
-  if (e.resident) {
-    cached_bytes_ -= e.size;
-    queue_bytes_[e.queue] -= e.size;
-    queues_[e.queue].erase(e.pos);
-    e.resident = false;
-  }
-  if (e.restoring) {
-    // A demand restore raced with (and completed before) a scheduled
-    // prefetch of the same object; release the prefetch's headroom claim —
-    // the task itself will find the object resident and bail.
-    inflight_restore_bytes_ -= e.size;
-    e.restoring = false;
-  }
   e.size = size_bytes;
-  int target = 1;  // Am / the single LRU queue
-  if (options_.policy == EvictionPolicy::k2Q && e.touches < 2) {
-    target = 0;  // probationary A1in until the object proves re-reference
-  }
+  // Probationary A1in until the object proves re-reference, then Am.
+  const int target = e.touches < 2 ? 0 : 1;
   e.queue = target;
   queues_[target].push_back(obj);
   e.pos = std::prev(queues_[target].end());
-  e.resident = true;
   cached_bytes_ += size_bytes;
   queue_bytes_[target] += size_bytes;
   EvictIfNeededLocked(lock, /*caller_blocking=*/true);
@@ -150,56 +142,39 @@ void BufferPool::Touch(MatrixObject* obj) {
   if (it == entries_.end()) return;
   Entry& e = it->second;
   ++e.touches;
-  if (!e.resident) return;  // ghost touch: remembered for re-admission
-  int target = e.queue;
-  if (options_.policy == EvictionPolicy::k2Q && e.queue == 0 &&
-      e.touches >= 2) {
-    target = 1;  // promote probation -> protected on re-reference
-  }
-  if (target != e.queue) {
-    queues_[e.queue].erase(e.pos);
-    queue_bytes_[e.queue] -= e.size;
-    queues_[target].push_back(obj);
-    e.pos = std::prev(queues_[target].end());
-    e.queue = target;
-    queue_bytes_[target] += e.size;
-  } else {
-    // Move most-recently-used within its queue (FIFO order is preserved
-    // for probationary entries: one touch does not reorder A1in).
-    if (e.queue == 1) {
-      queues_[1].splice(queues_[1].end(), queues_[1], e.pos);
-      e.pos = std::prev(queues_[1].end());
-    }
+  if (e.queue == 0 && e.touches >= 2) {
+    // Promote probation -> protected on re-reference.
+    queues_[0].erase(e.pos);
+    queue_bytes_[0] -= e.size;
+    queues_[1].push_back(obj);
+    e.pos = std::prev(queues_[1].end());
+    e.queue = 1;
+    queue_bytes_[1] += e.size;
+  } else if (e.queue == 1) {
+    // Move most-recently-used. FIFO order is preserved for probationary
+    // entries: one touch does not reorder A1in.
+    queues_[1].splice(queues_[1].end(), queues_[1], e.pos);
+    e.pos = std::prev(queues_[1].end());
   }
 }
 
-void BufferPool::PurgeTasksLocked(MatrixObject* obj, Entry* e) {
-  for (auto qit = task_queue_.begin(); qit != task_queue_.end();) {
-    if (qit->obj == obj) {
-      if (e != nullptr) {
-        if (qit->kind == TaskKind::kPrefetch && e->restoring) {
-          e->restoring = false;
-          inflight_restore_bytes_ -= e->size;
-        }
-        if (qit->kind == TaskKind::kWriteback) e->queued_writeback = false;
-      }
-      qit = task_queue_.erase(qit);
-    } else {
-      ++qit;
-    }
-  }
+void BufferPool::PurgeWritebackLocked(MatrixObject* obj, Entry* e) {
+  if (e != nullptr) e->queued_writeback = false;
+  writeback_queue_.erase(
+      std::remove(writeback_queue_.begin(), writeback_queue_.end(), obj),
+      writeback_queue_.end());
 }
 
 void BufferPool::Unregister(MatrixObject* obj) {
   std::unique_lock<std::mutex> lock(mutex_);
   auto it = entries_.find(obj);
   Entry* e = it == entries_.end() ? nullptr : &it->second;
-  // Drop queued background work referencing the object. Done even without
-  // an entry: a queued task must never outlive its object (the queue holds
-  // raw pointers).
-  PurgeTasksLocked(obj, e);
+  // Drop a queued writeback of the object. Done even without an entry: a
+  // queued writeback must never outlive its object (the queue holds raw
+  // pointers).
+  PurgeWritebackLocked(obj, e);
   if (e == nullptr) return;
-  // Wait out an in-flight writeback/prefetch: the background thread holds a
+  // Wait out an in-flight writeback: the background thread holds a
   // raw pointer to the object and the caller is about to destroy it. The
   // entry must be re-looked-up on every wake — while we wait, the writer's
   // own re-evict pass may free-drop the object and erase the entry.
@@ -209,25 +184,16 @@ void BufferPool::Unregister(MatrixObject* obj) {
   });
   it = entries_.find(obj);
   if (it == entries_.end()) return;
-  e = &it->second;
-  if (e->restoring) {
-    e->restoring = false;
-    inflight_restore_bytes_ -= e->size;
-  }
-  RemoveEntryLocked(e, obj);
+  RemoveEntryLocked(&it->second);
   entries_.erase(it);
   Metrics().cached_bytes->Set(cached_bytes_);
   Metrics().pinned_bytes->Set(pinned_bytes_);
 }
 
-void BufferPool::RemoveEntryLocked(Entry* e, MatrixObject* obj) {
-  (void)obj;
-  if (e->resident) {
-    cached_bytes_ -= e->size;
-    queue_bytes_[e->queue] -= e->size;
-    queues_[e->queue].erase(e->pos);
-    e->resident = false;
-  }
+void BufferPool::RemoveEntryLocked(Entry* e) {
+  cached_bytes_ -= e->size;
+  queue_bytes_[e->queue] -= e->size;
+  queues_[e->queue].erase(e->pos);
   if (e->pinned) {
     pinned_bytes_ -= e->size;
     e->pinned = false;
@@ -243,39 +209,12 @@ void BufferPool::NotePinned(MatrixObject* obj, bool pinned) {
   e.pinned = pinned;
   pinned_bytes_ += pinned ? e.size : -e.size;
   Metrics().pinned_bytes->Set(pinned_bytes_);
-  Metrics().headroom->Set(limit_bytes_ - pinned_bytes_ -
-                          inflight_restore_bytes_);
-}
-
-void BufferPool::Prefetch(MatrixObject* obj) {
-  if (!options_.prefetch || background_.joinable() == false) return;
-  // Sizing the object takes its lock: pool -> object nesting is the
-  // sanctioned order.
-  const bool resident = obj->HasPayload();
-  const int64_t size = obj->EstimateSizeInBytes();
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_ || resident) return;
-  auto it = entries_.find(obj);
-  if (it == entries_.end()) {
-    // Evicted objects are not tracked; re-admit a ghost entry so the
-    // restore's headroom claim and single-flight state have a home.
-    it = entries_.emplace(obj, Entry{}).first;
-    it->second.size = size;
-  }
-  Entry& e = it->second;
-  if (e.resident || e.restoring || e.inflight > 0 || e.queued_writeback) {
-    return;
-  }
-  e.restoring = true;
-  inflight_restore_bytes_ += e.size;
-  task_queue_.push_back({TaskKind::kPrefetch, obj});
-  Metrics().prefetch_issued->Add(1);
-  work_cv_.notify_one();
+  Metrics().headroom->Set(limit_bytes_ - pinned_bytes_);
 }
 
 int64_t BufferPool::Headroom() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return limit_bytes_ - pinned_bytes_ - inflight_restore_bytes_;
+  return limit_bytes_ - pinned_bytes_;
 }
 
 bool BufferPool::UnderPressure(int64_t upcoming_bytes) const {
@@ -285,7 +224,7 @@ bool BufferPool::UnderPressure(int64_t upcoming_bytes) const {
 void BufferPool::Drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   inflight_cv_.wait(lock, [&] {
-    return task_queue_.empty() && inflight_tasks_ == 0;
+    return writeback_queue_.empty() && inflight_writebacks_ == 0;
   });
   EvictIfNeededLocked(lock, /*caller_blocking=*/false);
   Metrics().cached_bytes->Set(cached_bytes_);
@@ -326,13 +265,10 @@ MatrixObject* BufferPool::PickVictimLocked(
     }
     return nullptr;
   };
-  if (options_.policy == EvictionPolicy::kLru) {
-    return first_unskipped(queues_[1]);
-  }
-  // 2Q: evict probation first while it holds more than its reservation (or
-  // the protected queue is empty), else the protected LRU head.
+  // Evict probation first while it holds more than its reservation (or the
+  // protected queue is empty), else the protected LRU head.
   int64_t a1_target = static_cast<int64_t>(
-      static_cast<double>(limit_bytes_) * options_.probation_fraction);
+      static_cast<double>(limit_bytes_) * kProbationFraction);
   MatrixObject* victim = nullptr;
   if (queue_bytes_[0] > a1_target || queues_[1].empty()) {
     victim = first_unskipped(queues_[0]);
@@ -355,12 +291,11 @@ void BufferPool::EvictIfNeededLocked(std::unique_lock<std::mutex>& lock,
   const int64_t hard_limit =
       options_.write_behind
           ? static_cast<int64_t>(static_cast<double>(limit_bytes_) *
-                                 options_.hard_limit_factor)
+                                 kHardLimitFactor)
           : limit_bytes_;
   // Victims that cannot make progress this pass: pinned, mid-writeback,
   // scheduled for write-behind, or re-pinned after a failed spill.
   std::unordered_set<MatrixObject*> skip;
-  bool did_sync_spill = false;
   while (cached_bytes_ > limit_bytes_) {
     MatrixObject* victim = PickVictimLocked(
         skip, options_.write_behind && cached_bytes_ <= hard_limit);
@@ -373,8 +308,8 @@ void BufferPool::EvictIfNeededLocked(std::unique_lock<std::mutex>& lock,
     // Clean blocks drop for free: the spill file already holds the bytes.
     if (victim->DropIfClean()) {
       int64_t size = e.size;
-      PurgeTasksLocked(victim, &e);
-      RemoveEntryLocked(&e, victim);
+      PurgeWritebackLocked(victim, &e);
+      RemoveEntryLocked(&e);
       entries_.erase(victim);
       ++evictions_;
       Metrics().evictions->Add(1);
@@ -387,7 +322,7 @@ void BufferPool::EvictIfNeededLocked(std::unique_lock<std::mutex>& lock,
     // and keep scanning for clean blocks; above it, spill synchronously —
     // the caller eats the write so memory stays bounded.
     if (options_.write_behind && cached_bytes_ <= hard_limit) {
-      EnqueueLocked({TaskKind::kWriteback, victim}, &e);
+      EnqueueWritebackLocked(victim, &e);
       skip.insert(victim);
       continue;
     }
@@ -413,56 +348,48 @@ void BufferPool::EvictIfNeededLocked(std::unique_lock<std::mutex>& lock,
       continue;
     }
     int64_t size = e.size;
-    PurgeTasksLocked(victim, &e);
-    RemoveEntryLocked(&e, victim);
+    PurgeWritebackLocked(victim, &e);
+    RemoveEntryLocked(&e);
     entries_.erase(victim);
     ++evictions_;
-    did_sync_spill = true;
     Metrics().evictions->Add(1);
     Metrics().sync_spills->Add(1);
     Metrics().spilled_bytes->Add(size);
     obs::Tracer::Instant("bufferpool", "evict");
   }
   (void)lock;
-  (void)did_sync_spill;
   if (caller_blocking) {
     Metrics().evict_stall_ns->Observe(NowNanos() - t0);
   }
   Metrics().cached_bytes->Set(cached_bytes_);
 }
 
-void BufferPool::EnqueueLocked(Task task, Entry* e) {
-  if (stopping_) return;
-  if (task.kind == TaskKind::kWriteback) {
-    if (e->queued_writeback || e->inflight > 0) return;
-    e->queued_writeback = true;
-  }
-  task_queue_.push_back(task);
+void BufferPool::EnqueueWritebackLocked(MatrixObject* obj, Entry* e) {
+  if (stopping_ || e->queued_writeback || e->inflight > 0) return;
+  e->queued_writeback = true;
+  writeback_queue_.push_back(obj);
   work_cv_.notify_one();
 }
 
 void BufferPool::BackgroundLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    work_cv_.wait(lock, [&] { return stopping_ || !task_queue_.empty(); });
+    work_cv_.wait(lock,
+                  [&] { return stopping_ || !writeback_queue_.empty(); });
     if (stopping_) break;
-    Task task = task_queue_.front();
-    task_queue_.pop_front();
-    auto it = entries_.find(task.obj);
+    MatrixObject* obj = writeback_queue_.front();
+    writeback_queue_.pop_front();
+    auto it = entries_.find(obj);
     if (it == entries_.end()) continue;  // unregistered while queued
     Entry& e = it->second;
     ++e.inflight;
-    ++inflight_tasks_;
-    if (task.kind == TaskKind::kWriteback) {
-      e.queued_writeback = false;
-      RunWriteback(task.obj, lock);
-    } else {
-      RunPrefetch(task.obj, lock);
-    }
-    // `e` stays valid: Unregister cannot erase the entry while
-    // e.inflight > 0 (it waits on inflight_cv_).
+    ++inflight_writebacks_;
+    e.queued_writeback = false;
+    RunWriteback(obj, lock);
+    // `e` stays valid: neither Unregister nor eviction erases the entry
+    // while e.inflight > 0.
     --e.inflight;
-    --inflight_tasks_;
+    --inflight_writebacks_;
     inflight_cv_.notify_all();
     if (cached_bytes_ > limit_bytes_) {
       EvictIfNeededLocked(lock, /*caller_blocking=*/false);
@@ -497,39 +424,6 @@ void BufferPool::RunWriteback(MatrixObject* obj,
     Metrics().writebacks->Add(1);
     Metrics().writeback_bytes->Add(it->second.size);
   }
-}
-
-void BufferPool::RunPrefetch(MatrixObject* obj,
-                             std::unique_lock<std::mutex>& lock) {
-  // Claimed size is released here (restore either made the object resident
-  // and accountable as cached bytes, or failed and freed the claim).
-  lock.unlock();
-  SYSDS_SPAN("bufferpool", "prefetch");
-  obj->PrefetchRestore();
-  int64_t size = obj->EstimateSizeInBytes();
-  bool resident = obj->HasPayload();
-  lock.lock();
-  auto it = entries_.find(obj);
-  if (it == entries_.end()) return;
-  Entry& e = it->second;
-  if (e.restoring) {
-    e.restoring = false;
-    inflight_restore_bytes_ -= e.size;
-  }
-  if (!resident || e.resident) {
-    // Restore failed (silently: the next demand acquire surfaces the
-    // error) or a demand restore re-registered the object concurrently.
-    return;
-  }
-  e.size = size;
-  int target = 1;
-  if (options_.policy == EvictionPolicy::k2Q && e.touches < 2) target = 0;
-  e.queue = target;
-  queues_[target].push_back(obj);
-  e.pos = std::prev(queues_[target].end());
-  e.resident = true;
-  cached_bytes_ += size;
-  queue_bytes_[target] += size;
 }
 
 }  // namespace sysds

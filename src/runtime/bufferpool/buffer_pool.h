@@ -29,30 +29,25 @@ class MatrixObject;
 ///     A background writer thread spills dirty unpinned blocks ahead of
 ///     need (via the crash-safe io::WriteAtomic path), turning most future
 ///     evictions into free page drops. Synchronous spilling only happens
-///     as a backstop when memory exceeds the hard limit (limit times
-///     Options::hard_limit_factor) faster than the writer can drain.
+///     as a backstop when memory exceeds the hard limit (1.25 times the
+///     limit) faster than the writer can drain.
 ///
-///  2. Scan-resistant victim selection. The default 2Q-style policy keeps a
-///     probationary FIFO (A1in) for objects seen once and a protected LRU
-///     (Am) for objects re-referenced after admission. One large scan
-///     (decompress, transformencode, data load) cycles through A1in without
-///     displacing the protected working set. Options::policy = kLru
-///     restores the classic single-queue behaviour for comparison.
+///  2. Scan-resistant victim selection. A 2Q policy keeps a probationary
+///     FIFO (A1in, a quarter of the limit) for objects seen once and a
+///     protected LRU (Am) for objects re-referenced after admission. One
+///     large scan (decompress, transformencode, data load) cycles through
+///     A1in without displacing the protected working set.
 ///
-///  3. Pressure export and hint-driven prefetch. Headroom() reports
-///     limit - pinned - inflight-restore bytes, the real admission signal
-///     consumed by the scoring service's kOom fast-reject and the
-///     compression rewrite. Prefetch(obj) schedules an asynchronous restore
-///     of a spilled object on the background thread; the compiler's loop
-///     liveness pass drives it with each loop's invariant reads so cold
-///     operands stream back in while the current iteration computes.
+///  3. Pressure export. Headroom() reports limit - pinned bytes, the
+///     admission signal consumed by the scoring service's kOom fast-reject
+///     and the compression rewrite.
 ///
 /// Object state machine (one MatrixObject, as seen by the pool):
 ///
 ///   resident-dirty --(write-behind / sync spill write)--> resident-clean
 ///   resident-clean --(evict: free drop)-----------------> spilled
 ///   resident-dirty --(sync evict: write + drop)---------> spilled
-///   spilled --(AcquireRead miss / Prefetch)-------------> restoring
+///   spilled --(AcquireRead / AcquireCompressed miss)----> restoring
 ///   restoring --(read + checksum verify ok)-------------> resident-clean
 ///   restoring --(kCorrupt / kIoError)-------------------> spilled (file
 ///                                            kept, error retryable)
@@ -68,28 +63,13 @@ class MatrixObject;
 /// while holding its own mutex.
 class BufferPool {
  public:
-  enum class EvictionPolicy {
-    kLru,  // single recency queue (the pre-async behaviour)
-    k2Q,   // probationary FIFO + protected LRU (scan-resistant, default)
-  };
-
   struct Options {
     int64_t limit_bytes = 0;
-    EvictionPolicy policy = EvictionPolicy::k2Q;
     /// Background spill writer: evictions prefer free drops of clean
-    /// blocks and dirty victims are written behind. When off, every
+    /// blocks and dirty victims are written behind; callers block on
+    /// synchronous eviction only above the hard limit. When off, every
     /// eviction writes synchronously on the caller thread.
     bool write_behind = true;
-    /// Accept Prefetch() hints (loop-invariant reads restore ahead of
-    /// need). When off, Prefetch() is a no-op.
-    bool prefetch = true;
-    /// Callers block on synchronous eviction only above
-    /// limit_bytes * hard_limit_factor; between the soft and hard limit
-    /// the writer catches up asynchronously.
-    double hard_limit_factor = 1.25;
-    /// Fraction of the limit reserved for the probationary A1in queue
-    /// before its head is evicted in preference to the protected queue.
-    double probation_fraction = 0.25;
   };
 
   explicit BufferPool(int64_t limit_bytes);
@@ -104,13 +84,13 @@ class BufferPool {
   void Register(MatrixObject* obj, int64_t size_bytes);
 
   /// Marks the object referenced: promotes a re-referenced probationary
-  /// entry to the protected queue (2Q) or moves it most-recently-used
-  /// (LRU).
+  /// entry to the protected queue, or moves a protected entry
+  /// most-recently-used.
   void Touch(MatrixObject* obj);
 
   /// Removes the object from tracking (destruction or eviction). Blocks
-  /// until any in-flight background writeback/prefetch touching the object
-  /// has completed, so the caller may safely destroy it afterwards.
+  /// until any in-flight background writeback of the object has completed,
+  /// so the caller may safely destroy it afterwards.
   void Unregister(MatrixObject* obj);
 
   /// Pin accounting from MatrixObject::AcquireRead/Release: `pinned` flips
@@ -118,14 +98,9 @@ class BufferPool {
   /// Headroom().
   void NotePinned(MatrixObject* obj, bool pinned);
 
-  /// Hint-driven prefetch: schedules an asynchronous restore when `obj` is
-  /// spilled and no restore is in flight. No-op for resident objects, when
-  /// prefetching is disabled, or while the pool is shutting down.
-  void Prefetch(MatrixObject* obj);
-
-  /// Real admission headroom: limit - pinned - inflight-restore bytes.
-  /// May be negative when pinned data alone exceeds the limit (the
-  /// pinned-storm case a caller should fast-reject on).
+  /// Admission headroom: limit - pinned bytes. May be negative when pinned
+  /// data alone exceeds the limit (the pinned-storm case a caller should
+  /// fast-reject on).
   int64_t Headroom() const;
 
   /// True when admitting `upcoming_bytes` more live data would exceed the
@@ -133,7 +108,7 @@ class BufferPool {
   /// compression rewrite.
   bool UnderPressure(int64_t upcoming_bytes) const;
 
-  /// Blocks until the background queue is empty and no task is in flight
+  /// Blocks until the writeback queue is empty and no write is in flight
   /// (then re-runs one eviction pass so freshly-cleaned blocks can drop).
   /// Tests and benchmarks use this to observe the steady state.
   void Drain();
@@ -143,7 +118,6 @@ class BufferPool {
   int64_t EvictionCount() const;
   int64_t limit_bytes() const;
   void SetLimit(int64_t limit_bytes);
-  const Options& options() const { return options_; }
 
   /// Directory for spill files (created on demand).
   const std::string& SpillDir() const { return spill_dir_; }
@@ -154,27 +128,17 @@ class BufferPool {
   std::string SpillPathFor(const MatrixObject* obj) const;
 
  private:
-  enum class TaskKind { kWriteback, kPrefetch };
-  struct Task {
-    TaskKind kind;
-    MatrixObject* obj;
-  };
-
+  // One per resident object; evicted objects are not tracked.
   struct Entry {
     int64_t size = 0;
-    // In a recency queue with a valid `pos`. False for ghost entries
-    // created by Prefetch for spilled (untracked) objects.
-    bool resident = false;
     std::list<MatrixObject*>::iterator pos;
     int queue = 0;        // 0 = A1in (probation), 1 = Am (protected)
     int64_t touches = 0;  // promotions happen on the second touch
     bool pinned = false;
     bool queued_writeback = false;
-    // Background tasks currently holding a raw pointer to the object;
+    // Writebacks currently holding a raw pointer to the object;
     // Unregister waits for this to reach zero.
     int inflight = 0;
-    // Restore scheduled or running for this object (prefetch headroom).
-    bool restoring = false;
   };
 
   // All *Locked methods require mutex_ held. `caller_blocking` is true when
@@ -188,14 +152,13 @@ class BufferPool {
   // hard limit, where bounding memory beats preserving the working set.
   MatrixObject* PickVictimLocked(
       const std::unordered_set<MatrixObject*>& skip, bool protect_am);
-  void RemoveEntryLocked(Entry* e, MatrixObject* obj);
-  // Drops queued (not yet started) tasks referencing `obj` and resets the
-  // matching entry flags. `e` may be null when the object has no entry.
-  void PurgeTasksLocked(MatrixObject* obj, Entry* e);
-  void EnqueueLocked(Task task, Entry* e);
+  void RemoveEntryLocked(Entry* e);
+  // Drops a queued (not yet started) writeback of `obj` and resets the
+  // entry flag. `e` may be null when the object has no entry.
+  void PurgeWritebackLocked(MatrixObject* obj, Entry* e);
+  void EnqueueWritebackLocked(MatrixObject* obj, Entry* e);
   void BackgroundLoop();
   void RunWriteback(MatrixObject* obj, std::unique_lock<std::mutex>& lock);
-  void RunPrefetch(MatrixObject* obj, std::unique_lock<std::mutex>& lock);
 
   const Options options_;
 
@@ -205,14 +168,13 @@ class BufferPool {
   int64_t limit_bytes_;
   int64_t cached_bytes_ = 0;
   int64_t pinned_bytes_ = 0;
-  int64_t inflight_restore_bytes_ = 0;
   int64_t evictions_ = 0;
   bool stopping_ = false;
-  int inflight_tasks_ = 0;
+  int inflight_writebacks_ = 0;
   std::string spill_dir_;
-  std::deque<Task> task_queue_;
+  std::deque<MatrixObject*> writeback_queue_;
   // queues_[0] = A1in probationary FIFO, queues_[1] = Am protected LRU.
-  // In kLru mode only queues_[1] is used. Front = next eviction candidate.
+  // Front = next eviction candidate.
   std::list<MatrixObject*> queues_[2];
   int64_t queue_bytes_[2] = {0, 0};
   std::unordered_map<MatrixObject*, Entry> entries_;

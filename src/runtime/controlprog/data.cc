@@ -50,27 +50,15 @@ obs::Counter* DecompressFallbacks() {
   return c;
 }
 
-// An acquire found the payload resident because a prefetch restored it
-// ahead of demand (the prefetcher's success metric).
-obs::Counter* PrefetchHits() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("bufferpool.prefetch_hits");
-  return c;
-}
-obs::Counter* PrefetchFailures() {
-  static obs::Counter* c = obs::MetricsRegistry::Get().GetCounter(
-      "fault.bufferpool.prefetch_failures");
-  return c;
-}
 obs::Histogram* RestoreNs() {
   static obs::Histogram* h =
       obs::MetricsRegistry::Get().GetHistogram("bufferpool.restore_ns");
   return h;
 }
 
-// In-memory bytes of the blocks restores brought back (demand and
-// prefetch), sized like bufferpool.spilled_bytes; with
-// bufferpool.restore_ns it gives the restore bandwidth.
+// In-memory bytes of the blocks restores brought back, sized like
+// bufferpool.spilled_bytes; with bufferpool.restore_ns it gives the restore
+// bandwidth.
 obs::Counter* RestoreBytes() {
   static obs::Counter* c =
       obs::MetricsRegistry::Get().GetCounter("bufferpool.restore_bytes");
@@ -201,7 +189,6 @@ StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
   // its own victim (returning a dangling reference).
   const MatrixBlock* result;
   bool restored = false;
-  bool prefetch_hit = false;
   bool first_pin = false;
   int64_t size = 0;
   {
@@ -230,8 +217,6 @@ StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
       DecompressFallbacks()->Add(1);
       restored = true;
     }
-    prefetch_hit = !restored && prefetched_;
-    prefetched_ = false;
     if (restored || first_pin) size = EstimateSizeLocked();
     result = block_.get();
   }
@@ -240,7 +225,6 @@ StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
   } else {
     PoolHits()->Add(1);
   }
-  if (prefetch_hit) PrefetchHits()->Add(1);
   if (BufferPool* pool = g_buffer_pool.load()) {
     if (restored) pool->Register(this, size);
     pool->Touch(this);
@@ -266,7 +250,6 @@ void MatrixObject::Release() {
 StatusOr<const CompressedMatrixBlock*> MatrixObject::AcquireCompressed() {
   const CompressedMatrixBlock* result;
   bool restored = false;
-  bool prefetch_hit = false;
   bool first_pin = false;
   int64_t size = 0;
   {
@@ -287,8 +270,6 @@ StatusOr<const CompressedMatrixBlock*> MatrixObject::AcquireCompressed() {
       }
       restored = true;
     }
-    prefetch_hit = !restored && prefetched_;
-    prefetched_ = false;
     if (restored || first_pin) size = EstimateSizeLocked();
     result = compressed_.get();
   }
@@ -297,7 +278,6 @@ StatusOr<const CompressedMatrixBlock*> MatrixObject::AcquireCompressed() {
   } else {
     PoolHits()->Add(1);
   }
-  if (prefetch_hit) PrefetchHits()->Add(1);
   if (BufferPool* pool = g_buffer_pool.load()) {
     if (restored) pool->Register(this, size);
     pool->Touch(this);
@@ -319,7 +299,6 @@ StatusOr<bool> MatrixObject::EvictTo(const std::string& path) {
     // object was restored and kept its file): eviction is a free drop.
     block_.reset();
     compressed_.reset();
-    prefetched_ = false;
     return true;
   }
   if (FaultInjector::Get().ShouldInject(FaultLayer::kBufferPool, 0,
@@ -346,7 +325,6 @@ StatusOr<bool> MatrixObject::EvictTo(const std::string& path) {
   clean_spill_ = true;
   block_.reset();
   compressed_.reset();
-  prefetched_ = false;
   return true;
 }
 
@@ -398,24 +376,7 @@ bool MatrixObject::DropIfClean() {
   }
   block_.reset();
   compressed_.reset();
-  prefetched_ = false;
   return true;
-}
-
-void MatrixObject::PrefetchRestore() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (block_ != nullptr || compressed_ != nullptr || restoring_ ||
-      evicted_path_.empty()) {
-    return;
-  }
-  Status s = EnsureRestoredLocked(lock);
-  if (s.ok()) {
-    prefetched_ = true;
-  } else {
-    // Silent by design: the next demand acquire retries the read and
-    // surfaces the error with full context.
-    PrefetchFailures()->Add(1);
-  }
 }
 
 Status MatrixObject::EnsureRestoredLocked(std::unique_lock<std::mutex>& lock) {

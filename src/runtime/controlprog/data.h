@@ -146,12 +146,6 @@ class MatrixObject final : public Data {
   /// (free eviction — no I/O). Returns true when the payload was dropped.
   bool DropIfClean();
 
-  /// Prefetch hook (background thread): restores a spilled payload ahead
-  /// of demand. Failures are silent — the next AcquireRead retries and
-  /// surfaces the error. Single-flight with demand restores: whichever
-  /// starts first reads the file, the other waits or bails.
-  void PrefetchRestore();
-
   int64_t EstimateSizeInBytes() const;
 
   std::string DebugString() const override;
@@ -164,8 +158,8 @@ class MatrixObject final : public Data {
   static void ClearBufferPool(BufferPool* expected);
 
   /// The process-wide pool (nullptr when disabled). Pressure consumers
-  /// (admission control, the compression rewrite, prefetch hints) use this
-  /// to reach Headroom()/Prefetch().
+  /// (admission control, the compression rewrite) use this to reach
+  /// Headroom().
   static BufferPool* GetBufferPool();
 
  private:
@@ -200,9 +194,6 @@ class MatrixObject final : public Data {
   // True while a write-behind thread is writing the spill file (prevents
   // two writers racing on the same temp file).
   bool spilling_ = false;
-  // Set by a successful PrefetchRestore, cleared by the next acquire:
-  // attributes the avoided miss to the prefetcher (prefetch_hits).
-  bool prefetched_ = false;
   std::condition_variable restore_cv_;
   std::string evicted_path_;
   int64_t rows_ = 0, cols_ = 0, nnz_ = 0;

@@ -334,6 +334,8 @@ Status WriteInstr::Execute(ExecutionContext* ec) {
     std::ofstream out(path);
     if (!out) return IoError("cannot open '" + path + "'");
     out << s->AsString() << "\n";
+    out.close();  // flushes: a full device fails here, not on <<
+    if (!out) return IoError("write failed for '" + path + "'");
     return Status::Ok();
   }
   return RuntimeError("write: unsupported data type");

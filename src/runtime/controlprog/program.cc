@@ -11,29 +11,11 @@
 #include "compiler/recompiler.h"
 #include "lineage/lineage.h"
 #include "obs/trace.h"
-#include "runtime/bufferpool/buffer_pool.h"
 #include "runtime/recovery/checkpoint_manager.h"
 
 namespace sysds {
 
 namespace {
-
-// Hint-driven prefetch (paper §2.3(3)): at loop entry and each iteration
-// boundary, ask the buffer pool to restore the loop's spilled matrix
-// operands in the background so the next iteration's reads hit memory. The
-// liveness pass already knows the loop's invariant reads and loop-carried
-// variables; everything resident is a cheap no-op.
-void PrefetchLoopOperands(ExecutionContext* ec, const LoopLiveness& live) {
-  BufferPool* pool = MatrixObject::GetBufferPool();
-  if (pool == nullptr || !pool->options().prefetch) return;
-  auto hint = [&](const std::string& var) {
-    DataPtr d = ec->Vars().GetOrNull(var);
-    auto* m = dynamic_cast<MatrixObject*>(d.get());
-    if (m != nullptr && !m->HasPayload()) pool->Prefetch(m);
-  };
-  for (const std::string& var : live.invariant_reads) hint(var);
-  for (const std::string& var : live.checkpoint_vars) hint(var);
-}
 
 // Scalar variables are traced by value ("literal replacement"), which makes
 // lineage of indexed reads and hyper-parameters comparable across loop
@@ -317,7 +299,6 @@ Status WhileBlock::Execute(ExecutionContext* ec) {
     SYSDS_ASSIGN_OR_RETURN(start, ckpt.TryResume(ec));
   }
   LoopLineageDedup dedup(ec, this);
-  PrefetchLoopOperands(ec, liveness_);
   // On resume the predicate evaluates over the restored loop-carried state,
   // so no explicit fast-forward is needed; `iteration` starts at the
   // restored count to keep lineage-dedup numbering identical to an
@@ -332,7 +313,6 @@ Status WhileBlock::Execute(ExecutionContext* ec) {
     }
     dedup.EndIteration(static_cast<double>(iteration));
     SYSDS_RETURN_IF_ERROR(ckpt.AtBoundary(ec, iteration + 1));
-    PrefetchLoopOperands(ec, liveness_);
   }
   return ckpt.Finish();
 }
@@ -368,7 +348,6 @@ Status ForBlock::Execute(ExecutionContext* ec) {
     start = std::min(iterations.size(), static_cast<size_t>(done));
   }
   LoopLineageDedup dedup(ec, this);
-  PrefetchLoopOperands(ec, liveness_);
   for (size_t i = start; i < iterations.size(); ++i) {
     double v = iterations[i];
     ec->Vars().Set(loop_var_, MakeLoopScalar(v));
@@ -378,7 +357,6 @@ Status ForBlock::Execute(ExecutionContext* ec) {
     }
     dedup.EndIteration(v);
     SYSDS_RETURN_IF_ERROR(ckpt.AtBoundary(ec, static_cast<int64_t>(i) + 1));
-    PrefetchLoopOperands(ec, liveness_);
   }
   return ckpt.Finish();
 }
@@ -398,7 +376,6 @@ Status ParForBlock::Execute(ExecutionContext* ec) {
   int64_t k = std::min<int64_t>(ec->NumThreads(),
                                 static_cast<int64_t>(iterations.size()));
   Statistics::Get().IncCounter("parfor.executions");
-  PrefetchLoopOperands(ec, liveness_);
 
   // Snapshot originals of result variables for compare-and-merge.
   std::map<std::string, DataPtr> originals;

@@ -687,13 +687,6 @@ StatusOr<CompressedMatrixBlock> MultiColumnEncoder::ApplyCompressed(
                                           std::move(groups));
 }
 
-StatusOr<MatrixBlock> MultiColumnEncoder::Apply(
-    const FrameBlock& frame) const {
-  EncodeOptions options;
-  SYSDS_ASSIGN_OR_RETURN(EncodedOutput out, Apply(frame, options));
-  return std::move(out.Dense());
-}
-
 StatusOr<MatrixBlock> MultiColumnEncoder::ApplyReferenceSerial(
     const FrameBlock& frame) const {
   if (frame.Cols() != num_input_cols_) {

@@ -1,6 +1,5 @@
 // Async buffer-pool coverage: write-behind eviction, free drops of clean
-// blocks, single-flight restores, hint-driven prefetch, 2Q scan
-// resistance, pressure-aware admission, and the chaos paths (failed
+// blocks, single-flight restores, 2Q scan resistance, pressure-aware admission, and the chaos paths (failed
 // writebacks, corrupt spill files) the synchronous stub never exercised.
 #include <gtest/gtest.h>
 
@@ -140,60 +139,26 @@ TEST_F(BufferPoolAsyncTest, ConcurrentAcquiresCoalesceIntoOneRestore) {
   EXPECT_EQ(RestoreCount() - reads_before, 1);
 }
 
-TEST_F(BufferPoolAsyncTest, PrefetchRestoresAheadOfDemand) {
-  BufferPool pool(1 << 30);
-  MatrixObject::SetBufferPool(&pool);
-  auto obj = std::make_shared<MatrixObject>(MatrixBlock::Dense(64, 64, 9.0));
-  pool.SetLimit(64);
-  ASSERT_FALSE(obj->HasPayload());
-  pool.SetLimit(1 << 30);
-
-  int64_t hits_before = CounterValue("bufferpool.prefetch_hits");
-  int64_t issued_before = CounterValue("bufferpool.prefetch_issued");
-  pool.Prefetch(obj.get());
-  pool.Drain();
-  EXPECT_TRUE(obj->HasPayload()) << "prefetch restored ahead of demand";
-  EXPECT_GT(CounterValue("bufferpool.prefetch_issued"), issued_before);
-
-  int64_t reads_before = RestoreCount();
-  auto r = obj->AcquireRead();
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_DOUBLE_EQ((*r)->Get(3, 3), 9.0);
-  obj->Release();
-  EXPECT_EQ(RestoreCount(), reads_before) << "no demand read after prefetch";
-  EXPECT_GT(CounterValue("bufferpool.prefetch_hits"), hits_before);
-}
-
 TEST_F(BufferPoolAsyncTest, TwoQKeepsWorkingSetThroughScan) {
   // A re-referenced (protected) object must survive a one-touch scan that
-  // is larger than the pool; under pure LRU the same scan flushes it.
-  auto run_scan = [](BufferPool::EvictionPolicy policy) {
-    BufferPool::Options opt;
-    opt.limit_bytes = 400 * 1024;
-    opt.policy = policy;
-    BufferPool pool(opt);
-    MatrixObject::SetBufferPool(&pool);
-    auto hot =
-        std::make_shared<MatrixObject>(MatrixBlock::Dense(100, 100, 1.0));
-    // Re-reference: promoted to the protected queue under 2Q.
-    for (int i = 0; i < 3; ++i) {
-      auto r = hot->AcquireRead();
-      EXPECT_TRUE(r.ok());
-      hot->Release();
-    }
-    // One-touch scan, 2x the pool size.
-    std::vector<std::shared_ptr<MatrixObject>> scan;
-    for (int i = 0; i < 10; ++i) {
-      scan.push_back(
-          std::make_shared<MatrixObject>(MatrixBlock::Dense(100, 100, 2.0)));
-    }
-    pool.Drain();
-    bool hot_survived = hot->HasPayload();
-    MatrixObject::SetBufferPool(nullptr);
-    return hot_survived;
-  };
-  EXPECT_TRUE(run_scan(BufferPool::EvictionPolicy::k2Q));
-  EXPECT_FALSE(run_scan(BufferPool::EvictionPolicy::kLru));
+  // is larger than the pool.
+  BufferPool pool(400 * 1024);
+  MatrixObject::SetBufferPool(&pool);
+  auto hot = std::make_shared<MatrixObject>(MatrixBlock::Dense(100, 100, 1.0));
+  // Re-reference: promoted to the protected queue.
+  for (int i = 0; i < 3; ++i) {
+    auto r = hot->AcquireRead();
+    EXPECT_TRUE(r.ok());
+    hot->Release();
+  }
+  // One-touch scan, 2x the pool size.
+  std::vector<std::shared_ptr<MatrixObject>> scan;
+  for (int i = 0; i < 10; ++i) {
+    scan.push_back(
+        std::make_shared<MatrixObject>(MatrixBlock::Dense(100, 100, 2.0)));
+  }
+  pool.Drain();
+  EXPECT_TRUE(hot->HasPayload());
 }
 
 TEST_F(BufferPoolAsyncTest, PinnedStormExportsNegativeHeadroom) {
@@ -221,6 +186,29 @@ TEST_F(BufferPoolAsyncTest, PinnedStormExportsNegativeHeadroom) {
   pool.SetLimit(1024);
   pool.Drain();
   EXPECT_LE(pool.CachedBytes(), 1024);
+}
+
+TEST_F(BufferPoolAsyncTest, PinnedBytesFollowDecompressOnRead) {
+  // AcquireRead on a pinned compressed object decompresses it and
+  // re-registers it at the larger size; pinned bytes must follow, and
+  // releasing every pin must bring them back to zero.
+  BufferPool pool(1 << 30);
+  MatrixObject::SetBufferPool(&pool);
+  MatrixBlock m = MatrixBlock::Dense(500, 5);
+  for (int64_t r = 0; r < 500; ++r) {
+    for (int64_t c = 0; c < 5; ++c) m.Set(r, c, static_cast<double>(r % 3));
+  }
+  CompressedMatrixBlock cb = CompressedMatrixBlock::Compress(m);
+  ASSERT_GT(cb.NumCompressedColumns(), 0);
+  auto obj = std::make_shared<MatrixObject>(std::move(cb));
+  ASSERT_TRUE(obj->AcquireCompressed().ok());
+  const int64_t compressed_size = pool.PinnedBytes();
+  ASSERT_TRUE(obj->AcquireRead().ok());
+  EXPECT_GT(obj->EstimateSizeInBytes(), compressed_size);
+  EXPECT_EQ(pool.PinnedBytes(), obj->EstimateSizeInBytes());
+  obj->Release();
+  obj->Release();
+  EXPECT_EQ(pool.PinnedBytes(), 0);
 }
 
 TEST_F(BufferPoolAsyncTest, ServiceRejectsWithOomWhenHeadroomLow) {
@@ -465,23 +453,12 @@ TEST_F(BufferPoolAsyncTest, ResultsBitIdenticalAcrossPoolConfigurations) {
   double sync_tiny =
       RunIterativeScript(SystemDSContext::Builder()
                              .BufferPoolLimit(64 * 1024)
-                             .BufferPoolWriteBehind(false)
-                             .BufferPoolPrefetch(false));
+                             .BufferPoolWriteBehind(false));
   // Bit-identical, not approximately equal: spill/restore round-trips and
   // background scheduling must not perturb a single bit of the result.
   EXPECT_EQ(no_evictions, async_tiny);
   EXPECT_EQ(no_evictions, sync_tiny);
   EXPECT_NE(no_evictions, 0.0);
-}
-
-TEST_F(BufferPoolAsyncTest, LoopPrefetchEngagesOnOverLimitWorkload) {
-  int64_t issued_before = CounterValue("bufferpool.prefetch_issued");
-  double v = RunIterativeScript(
-      SystemDSContext::Builder().BufferPoolLimit(64 * 1024));
-  EXPECT_NE(v, 0.0);
-  // The loop's liveness hints scheduled background restores of spilled
-  // operands at iteration boundaries.
-  EXPECT_GT(CounterValue("bufferpool.prefetch_issued"), issued_before);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <limits>
 #include <sstream>
 
+#include "api/systemds_context.h"
 #include "io/format_descriptor.h"
 #include "obs/metrics.h"
 #include "runtime/matrix/lib_datagen.h"
@@ -438,6 +439,27 @@ TEST_F(IoTest, CsvRaggedRowReportsFirstBadRowAtAnyThreadCount) {
   }
 }
 
+TEST_F(IoTest, CsvWideFirstLineFailsBeforeAllocating) {
+  // 400 KB: a 100000-cell first line, then 100000 one-cell rows. Sizing
+  // the block from the first line would ask for 100001 x 100000 doubles
+  // (80 GB) and die in bad_alloc.
+  {
+    std::ofstream f(Path("wide.csv"));
+    for (int c = 0; c < 100000; ++c) f << (c == 0 ? "0" : ",0");
+    f << "\n";
+    for (int r = 0; r < 100000; ++r) f << "1\n";
+  }
+  for (int threads : {1, 8}) {
+    auto m = io::Read(Path("wide.csv"),
+                      FormatDescriptor::Csv(',', false, threads));
+    ASSERT_FALSE(m.ok());
+    EXPECT_EQ(m.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(m.status().message(),
+              "csv: row 2 has 1 columns, expected 100000")
+        << "threads " << threads;
+  }
+}
+
 TEST_F(IoTest, CsvLongCellIsParsedWhole) {
   // 70 digits: cut at 63 bytes it would read as 1e62.
   const std::string big = "1" + std::string(69, '0');
@@ -471,9 +493,12 @@ TEST_F(IoTest, WriteToFullDiskFails) {
   // larger than a writer chunk.
   for (int64_t rows : {2, 20000}) {
     auto m = RandMatrix(rows, 20, -1, 1, 1.0, 12, RandPdf::kUniform, 1);
-    Status s = io::Write(*m, "/dev/full", FormatDescriptor::Csv());
-    EXPECT_FALSE(s.ok()) << rows << " rows";
-    EXPECT_NE(s.message().find("/dev/full"), std::string::npos);
+    for (const FormatDescriptor& desc :
+         {FormatDescriptor::Csv(), FormatDescriptor::Ijv()}) {
+      Status s = io::Write(*m, "/dev/full", desc);
+      EXPECT_FALSE(s.ok()) << rows << " rows, " << desc.kind;
+      EXPECT_NE(s.message().find("/dev/full"), std::string::npos);
+    }
   }
   FrameBlock f(3, {ValueType::kString, ValueType::kFP64});
   f.SetString(0, 0, "a");
@@ -481,6 +506,11 @@ TEST_F(IoTest, WriteToFullDiskFails) {
   Status s = io::Write(f, "/dev/full", FormatDescriptor::Csv());
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("/dev/full"), std::string::npos);
+  // A DML scalar write fails the script the same way.
+  SystemDSContext ctx;
+  auto r = ctx.Execute("x = 42\nwrite(x, '/dev/full')\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("/dev/full"), std::string::npos);
 }
 
 TEST_F(IoTest, ReadAndWriteAdvanceIoCounters) {

@@ -284,19 +284,6 @@ TEST(TransformParallelTest, DecodeInvertsParallelEncode) {
   }
 }
 
-TEST(TransformParallelTest, DeprecatedDenseShimStillWorks) {
-  FrameBlock f = RandomFrame(500, 1);
-  auto spec = ParseTransformSpec(R"({"recode":["city"]})", f);
-  ASSERT_TRUE(spec.ok());
-  auto enc = MultiColumnEncoder::Fit(f, *spec);
-  ASSERT_TRUE(enc.ok());
-  auto old_api = enc->Apply(f);  // deprecated dense-only overload
-  ASSERT_TRUE(old_api.ok());
-  auto ref = enc->ApplyReferenceSerial(f);
-  ASSERT_TRUE(ref.ok());
-  ExpectBitIdentical(*old_api, *ref);
-}
-
 TEST(TransformParallelTest, EncodedOutputAccessorsAndShapes) {
   FrameBlock f = RandomFrame(100, 2);
   auto spec = ParseTransformSpec(R"({"recode":["city"],"dummycode":["city"]})",
